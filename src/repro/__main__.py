@@ -867,6 +867,9 @@ def _backendparity(argv: list[str]) -> int:
 
     # Layer 1: raw block equivalence per algorithm, both directions,
     # single-block and batch paths, deterministic pseudorandom inputs.
+    # Batch widths straddle the optimized AES kernel's 256-block chunk
+    # edge and include a multi-chunk batch with a remainder.
+    widths = (1, 2, 255, 256, 257, 600)
     def material(tag: str, length: int) -> bytes:
         stream = b""
         counter = 0
@@ -888,15 +891,18 @@ def _backendparity(argv: list[str]) -> int:
         ciphers = {name: get_backend(name).create(algorithm, key) for name in backends}
         block_size = ciphers[reference].block_size
         blocks = [
-            material(f"block/{algorithm}/{i}", block_size) for i in range(32)
+            material(f"block/{algorithm}/{i}", block_size)
+            for i in range(max(widths))
         ]
         expected = [ciphers[reference].encrypt_block(block) for block in blocks]
         row = {"algorithm": algorithm, "ok": True}
         for name, cipher in ciphers.items():
-            sequential = [cipher.encrypt_block(block) for block in blocks]
-            batched = cipher.encrypt_blocks(blocks)
-            recovered = cipher.decrypt_blocks(batched)
-            if sequential != expected or batched != expected or recovered != blocks:
+            diverged = [cipher.encrypt_block(block) for block in blocks] != expected
+            for width in widths:
+                batched = cipher.encrypt_blocks(blocks[:width])
+                recovered = cipher.decrypt_blocks(batched)
+                diverged |= batched != expected[:width] or recovered != blocks[:width]
+            if diverged:
                 row["ok"] = False
                 failures.append(f"primitive divergence: {algorithm} under {name!r}")
         primitive_rows.append(row)

@@ -29,10 +29,14 @@ from repro.primitives.util import (
     constant_time_equal,
     gf_double,
     int_to_bytes,
-    iter_blocks,
-    split_blocks,
     xor_bytes_strict,
 )
+
+
+#: Messages per pass through the chain scheduler.  A pass this size
+#: already fills the cipher's widest batch calls; larger batches run in
+#: passes so their per-block temporaries stay small.
+_PASS_ITEMS = 256
 
 
 class EAX(AEAD):
@@ -61,109 +65,59 @@ class EAX(AEAD):
 
     # -- internals ----------------------------------------------------------
 
-    def _omac_tweaked(self, tweak: int, message: bytes) -> bytes:
-        """OMAC_K([tweak]_n ∥ message), resuming from the cached state."""
-        block = self.block_size
-        state = self._tweak_state[tweak]
-        if not message:
-            # The tweak block itself is the final block of OMAC's input, so
-            # the cached state (no K1 mask) cannot be used: recompute.
-            masked = xor_bytes_strict(int_to_bytes(tweak, block), self._k1)
-            return self._cipher.encrypt_block(masked)
-        if len(message) % block == 0:
-            body, last = message[:-block], message[-block:]
-            final = xor_bytes_strict(last, self._k1)
-        else:
-            cut = (len(message) // block) * block
-            body, remainder = message[:cut], message[cut:]
-            padded = remainder + b"\x80" + bytes(block - len(remainder) - 1)
-            final = xor_bytes_strict(padded, self._k2)
-        for chunk in iter_blocks(body, block):
-            state = self._cipher.encrypt_block(xor_bytes_strict(chunk, state))
-        return self._cipher.encrypt_block(xor_bytes_strict(final, state))
+    def _omac_chains(self, jobs: Sequence[tuple[int, bytes]]) -> list[bytes]:
+        """``OMAC^t_K(M)`` for every ``(t, M)`` in ``jobs``.
 
-    def _omac_tweaked_many(self, tweak: int, messages: Sequence[bytes]) -> list[bytes]:
-        """Batch of :meth:`_omac_tweaked` over one tweak.
-
-        The OMAC chain is sequential *within* a message but independent
-        *across* messages, so wave ``k`` processes chain step ``k`` of
-        every still-active message in one cipher call.  Same bytes, same
-        per-message invocation count as the sequential method.
+        Each chain resumes from the cached state after its tweak block
+        (an empty message has the tweak block as its final block, so it
+        starts from the zero state instead).  A chain is sequential, but
+        chains are independent of each other, so wave ``k`` runs step
+        ``k`` of every chain still going in one cipher call.  Same bytes,
+        same per-chain invocation count as running the chains one by one.
         """
         block = self.block_size
-        results: list[bytes] = [b""] * len(messages)
-        empties = [i for i, message in enumerate(messages) if not message]
-        if empties:
-            masked = xor_bytes_strict(int_to_bytes(tweak, block), self._k1)
-            batch = self._cipher.encrypt_blocks([masked] * len(empties))
-            for i, out in zip(empties, batch):
-                results[i] = out
-        live = [i for i, message in enumerate(messages) if message]
-        bodies: dict[int, list[bytes]] = {}
-        finals: dict[int, bytes] = {}
-        states: dict[int, bytes] = {}
-        for i in live:
-            message = messages[i]
-            if len(message) % block == 0:
-                body, last = message[:-block], message[-block:]
-                finals[i] = xor_bytes_strict(last, self._k1)
+        messages: list[bytes] = []
+        bodies: list[int] = []  # full blocks before each chain's final one
+        finals: list[bytes] = []
+        states: list[bytes] = []
+        for tweak, message in jobs:
+            if message:
+                body = (len(message) - 1) // block
+                last = message[body * block :]
+                if len(last) == block:
+                    final = xor_bytes_strict(last, self._k1)
+                else:
+                    padded = last + b"\x80" + bytes(block - len(last) - 1)
+                    final = xor_bytes_strict(padded, self._k2)
+                state = self._tweak_state[tweak]
             else:
-                cut = (len(message) // block) * block
-                body, remainder = message[:cut], message[cut:]
-                padded = remainder + b"\x80" + bytes(block - len(remainder) - 1)
-                finals[i] = xor_bytes_strict(padded, self._k2)
-            bodies[i] = split_blocks(body, block) if body else []
-            states[i] = self._tweak_state[tweak]
-        depth = max((len(bodies[i]) for i in live), default=0)
-        for k in range(depth):
-            wave = [i for i in live if k < len(bodies[i])]
-            inputs = [xor_bytes_strict(bodies[i][k], states[i]) for i in wave]
-            for i, out in zip(wave, self._cipher.encrypt_blocks(inputs)):
+                body = 0
+                final = xor_bytes_strict(int_to_bytes(tweak, block), self._k1)
+                state = bytes(block)
+            messages.append(message)
+            bodies.append(body)
+            finals.append(final)
+            states.append(state)
+        active = list(range(len(jobs)))
+        k = 0
+        while active:
+            offset = k * block
+            inputs = [
+                xor_bytes_strict(
+                    messages[i][offset : offset + block]
+                    if k < bodies[i]
+                    else finals[i],
+                    states[i],
+                )
+                for i in active
+            ]
+            for i, out in zip(active, self._cipher.encrypt_blocks(inputs)):
                 states[i] = out
-        if live:
-            inputs = [xor_bytes_strict(finals[i], states[i]) for i in live]
-            for i, out in zip(live, self._cipher.encrypt_blocks(inputs)):
-                results[i] = out
-        return results
+            k += 1
+            active = [i for i in active if k <= bodies[i]]
+        return states
 
-    def _ctr_stream(self, start_block: bytes, length: int) -> bytes:
-        block = self.block_size
-        counter = int.from_bytes(start_block, "big")
-        modulus = 256 ** block
-        out = bytearray()
-        while len(out) < length:
-            out += self._cipher.encrypt_block(
-                int_to_bytes(counter % modulus, block)
-            )
-            counter += 1
-        return bytes(out[:length])
-
-    # -- AEAD interface --------------------------------------------------------
-
-    def encrypt(self, nonce: bytes, plaintext: bytes, header: bytes = b"") -> tuple[bytes, bytes]:
-        self._check_nonce(nonce)
-        n_mac = self._omac_tweaked(0, nonce)
-        h_mac = self._omac_tweaked(1, header)
-        stream = self._ctr_stream(n_mac, len(plaintext))
-        ciphertext = xor_bytes_strict(plaintext, stream)
-        c_mac = self._omac_tweaked(2, ciphertext)
-        tag = xor_bytes_strict(xor_bytes_strict(n_mac, c_mac), h_mac)
-        return ciphertext, tag[: self.tag_size]
-
-    def decrypt(self, nonce: bytes, ciphertext: bytes, tag: bytes, header: bytes = b"") -> bytes:
-        self._check_nonce(nonce)
-        n_mac = self._omac_tweaked(0, nonce)
-        h_mac = self._omac_tweaked(1, header)
-        c_mac = self._omac_tweaked(2, ciphertext)
-        expected = xor_bytes_strict(xor_bytes_strict(n_mac, c_mac), h_mac)
-        if not constant_time_equal(expected[: self.tag_size], tag):
-            raise self._invalid()
-        stream = self._ctr_stream(n_mac, len(ciphertext))
-        return xor_bytes_strict(ciphertext, stream)
-
-    # -- batched AEAD interface ------------------------------------------------
-
-    def _ctr_stream_many(
+    def _ctr_streams(
         self, starts: Sequence[bytes], lengths: Sequence[int]
     ) -> list[bytes]:
         """All CTR keystreams of the batch in one cipher call."""
@@ -184,48 +138,101 @@ class EAX(AEAD):
             for begin, needed, length in spans
         ]
 
+    def _tag(self, n_mac: bytes, h_mac: bytes, c_mac: bytes) -> bytes:
+        return xor_bytes_strict(xor_bytes_strict(n_mac, c_mac), h_mac)[: self.tag_size]
+
+    # -- AEAD interface --------------------------------------------------------
+    #
+    # A single message is a batch of one: its N and H chains (and, when
+    # decrypting, its C chain) still share cipher calls.
+
+    def encrypt(
+        self, nonce: bytes, plaintext: bytes, header: bytes = b""
+    ) -> tuple[bytes, bytes]:
+        return self.encrypt_batch([(nonce, plaintext, header)])[0]
+
+    def decrypt(
+        self, nonce: bytes, ciphertext: bytes, tag: bytes, header: bytes = b""
+    ) -> bytes:
+        return self.decrypt_batch([(nonce, ciphertext, tag, header)])[0]
+
     def encrypt_batch(
         self, items: Sequence[tuple[bytes, bytes, bytes]]
     ) -> list[tuple[bytes, bytes]]:
-        if not items:
-            return []
-        nonces = [nonce for nonce, _, _ in items]
-        for nonce in nonces:
+        for nonce, _, _ in items:
             self._check_nonce(nonce)
-        n_macs = self._omac_tweaked_many(0, nonces)
-        h_macs = self._omac_tweaked_many(1, [header for _, _, header in items])
-        streams = self._ctr_stream_many(
+        out: list[tuple[bytes, bytes]] = []
+        for start in range(0, len(items), _PASS_ITEMS):
+            out += self._encrypt_pass(items[start : start + _PASS_ITEMS])
+        return out
+
+    def decrypt_batch(
+        self, items: Sequence[tuple[bytes, bytes, bytes, bytes]]
+    ) -> list[bytes]:
+        # Every nonce, then every tag of the batch is checked before any
+        # CTR work runs, so a failing batch costs exactly its MACs.
+        for nonce, _, _, _ in items:
+            self._check_nonce(nonce)
+        n_macs: list[bytes] = []
+        for start in range(0, len(items), _PASS_ITEMS):
+            n_macs += self._verify_pass(items[start : start + _PASS_ITEMS])
+        if not all(n_macs):
+            raise self._invalid()
+        out: list[bytes] = []
+        for start in range(0, len(items), _PASS_ITEMS):
+            stop = start + _PASS_ITEMS
+            streams = self._ctr_streams(
+                n_macs[start:stop],
+                [len(ciphertext) for _, ciphertext, _, _ in items[start:stop]],
+            )
+            out += [
+                xor_bytes_strict(ciphertext, stream)
+                for (_, ciphertext, _, _), stream in zip(items[start:stop], streams)
+            ]
+        return out
+
+    def _encrypt_pass(
+        self, items: Sequence[tuple[bytes, bytes, bytes]]
+    ) -> list[tuple[bytes, bytes]]:
+        count = len(items)
+        # N and H chains of every item share waves; C needs the ciphertext.
+        macs = self._omac_chains(
+            [(0, nonce) for nonce, _, _ in items]
+            + [(1, header) for _, _, header in items]
+        )
+        n_macs, h_macs = macs[:count], macs[count:]
+        streams = self._ctr_streams(
             n_macs, [len(plaintext) for _, plaintext, _ in items]
         )
         ciphertexts = [
             xor_bytes_strict(plaintext, stream)
             for (_, plaintext, _), stream in zip(items, streams)
         ]
-        c_macs = self._omac_tweaked_many(2, ciphertexts)
-        out = []
-        for ciphertext, n_mac, h_mac, c_mac in zip(ciphertexts, n_macs, h_macs, c_macs):
-            tag = xor_bytes_strict(xor_bytes_strict(n_mac, c_mac), h_mac)
-            out.append((ciphertext, tag[: self.tag_size]))
-        return out
+        c_macs = self._omac_chains([(2, ciphertext) for ciphertext in ciphertexts])
+        return [
+            (ciphertext, self._tag(n_mac, h_mac, c_mac))
+            for ciphertext, n_mac, h_mac, c_mac in zip(
+                ciphertexts, n_macs, h_macs, c_macs
+            )
+        ]
 
-    def decrypt_batch(
+    def _verify_pass(
         self, items: Sequence[tuple[bytes, bytes, bytes, bytes]]
     ) -> list[bytes]:
-        if not items:
-            return []
-        for nonce, _, _, _ in items:
-            self._check_nonce(nonce)
-        n_macs = self._omac_tweaked_many(0, [nonce for nonce, *_ in items])
-        h_macs = self._omac_tweaked_many(1, [header for *_, header in items])
-        c_macs = self._omac_tweaked_many(2, [c for _, c, _, _ in items])
-        for (_, _, tag, _), n_mac, h_mac, c_mac in zip(items, n_macs, h_macs, c_macs):
-            expected = xor_bytes_strict(xor_bytes_strict(n_mac, c_mac), h_mac)
-            if not constant_time_equal(expected[: self.tag_size], tag):
-                raise self._invalid()
-        streams = self._ctr_stream_many(
-            n_macs, [len(ciphertext) for _, ciphertext, _, _ in items]
+        """Each item's ``N'`` (the CTR start) if its tag verifies, else ``b""``."""
+        count = len(items)
+        # All three chains of every item are independent: one set of waves.
+        macs = self._omac_chains(
+            [(0, nonce) for nonce, _, _, _ in items]
+            + [(1, header) for _, _, _, header in items]
+            + [(2, ciphertext) for _, ciphertext, _, _ in items]
         )
+        n_macs = macs[:count]
+        h_macs = macs[count : 2 * count]
+        c_macs = macs[2 * count :]
         return [
-            xor_bytes_strict(ciphertext, stream)
-            for (_, ciphertext, _, _), stream in zip(items, streams)
+            n_mac if constant_time_equal(self._tag(n_mac, h_mac, c_mac), tag) else b""
+            for (_, _, tag, _), n_mac, h_mac, c_mac in zip(
+                items, n_macs, h_macs, c_macs
+            )
         ]

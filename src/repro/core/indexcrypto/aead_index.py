@@ -21,6 +21,7 @@ constructor parameters here — "and r_I is also known" (it arrives via
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 
 from repro.aead.base import AEAD, StoredEntry
 from repro.engine.codec import EntryRefs, IndexEntryCodec
@@ -58,27 +59,70 @@ class AeadIndexCodec(IndexEntryCodec):
         return ref_s + refs.encode_internal()
 
     def encode(self, key: bytes, table_row: int | None, refs: EntryRefs) -> bytes:
-        row = -1 if table_row is None else table_row
-        plaintext = row.to_bytes(_ROW_WIDTH, "big", signed=True) + key
         nonce = self._nonces.next()
         ciphertext, tag = self._aead.encrypt(
-            nonce, plaintext, self.associated_data(refs)
+            nonce, _plaintext(key, table_row), self.associated_data(refs)
         )
         return StoredEntry(nonce, ciphertext, tag).to_bytes()
 
     def decode(self, payload: bytes, refs: EntryRefs) -> tuple[bytes, int | None]:
-        try:
-            entry = StoredEntry.from_bytes(payload)
-        except ValueError:
-            raise AuthenticationError("invalid") from None
-        plaintext = self._aead.decrypt(
-            entry.nonce, entry.ciphertext, entry.tag, self.associated_data(refs)
+        entry = _parse(payload)
+        return _logical(
+            self._aead.decrypt(
+                entry.nonce, entry.ciphertext, entry.tag, self.associated_data(refs)
+            )
         )
-        if len(plaintext) < _ROW_WIDTH:
-            raise AuthenticationError("invalid")
-        row = int.from_bytes(plaintext[:_ROW_WIDTH], "big", signed=True)
-        return plaintext[_ROW_WIDTH:], None if row < 0 else row
+
+    def encode_many(
+        self, items: Sequence[tuple[bytes, int | None, EntryRefs]]
+    ) -> list[bytes]:
+        # Nonces are drawn in list order, as the per-entry loop draws them.
+        triples = [
+            (
+                self._nonces.next(),
+                _plaintext(key, table_row),
+                self.associated_data(refs),
+            )
+            for key, table_row, refs in items
+        ]
+        return [
+            StoredEntry(nonce, ciphertext, tag).to_bytes()
+            for (nonce, _, _), (ciphertext, tag) in zip(
+                triples, self._aead.encrypt_batch(triples)
+            )
+        ]
+
+    def decode_many(
+        self, items: Sequence[tuple[bytes, EntryRefs]]
+    ) -> list[tuple[bytes, int | None]]:
+        quads = []
+        for payload, refs in items:
+            entry = _parse(payload)
+            quads.append(
+                (entry.nonce, entry.ciphertext, entry.tag, self.associated_data(refs))
+            )
+        return [_logical(plaintext) for plaintext in self._aead.decrypt_batch(quads)]
 
     def storage_overhead(self) -> int:
         """Per-entry overhead octets: nonce + tag (Sect. 4 metric)."""
         return self._nonces.size + self._aead.tag_size
+
+
+def _plaintext(key: bytes, table_row: int | None) -> bytes:
+    """The encrypted pair (V, Ref_T): Ref_T first, -1 for inner entries."""
+    row = -1 if table_row is None else table_row
+    return row.to_bytes(_ROW_WIDTH, "big", signed=True) + key
+
+
+def _parse(payload: bytes) -> StoredEntry:
+    try:
+        return StoredEntry.from_bytes(payload)
+    except ValueError:
+        raise AuthenticationError("invalid") from None
+
+
+def _logical(plaintext: bytes) -> tuple[bytes, int | None]:
+    if len(plaintext) < _ROW_WIDTH:
+        raise AuthenticationError("invalid")
+    row = int.from_bytes(plaintext[:_ROW_WIDTH], "big", signed=True)
+    return plaintext[_ROW_WIDTH:], None if row < 0 else row

@@ -137,17 +137,29 @@ class BPlusTree:
         )
 
     def _decode_node(self, node: BNode) -> list[_Logical]:
+        """Every entry of ``node``, decoded in one codec batch (mutations
+        re-encode whole nodes, so they need every entry anyway)."""
+        decoded = self.codec.decode_many(
+            [
+                (entry.payload, self.entry_refs(node, slot))
+                for slot, entry in enumerate(node.entries)
+            ]
+        )
         return [
-            _Logical(entry.row_id, *self._decode_slot(node, slot))
-            for slot, entry in enumerate(node.entries)
+            _Logical(entry.row_id, key, table_row)
+            for entry, (key, table_row) in zip(node.entries, decoded)
         ]
 
     def _encode_node(self, node: BNode, logicals: list[_Logical]) -> None:
         node.entries = [BEntry(item.row_id, b"") for item in logicals]
-        for slot, item in enumerate(logicals):
-            node.entries[slot].payload = self.codec.encode(
-                item.key, item.table_row, self.entry_refs(node, slot)
-            )
+        payloads = self.codec.encode_many(
+            [
+                (item.key, item.table_row, self.entry_refs(node, slot))
+                for slot, item in enumerate(logicals)
+            ]
+        )
+        for entry, payload in zip(node.entries, payloads):
+            entry.payload = payload
 
     # -- mutation ----------------------------------------------------------
 

@@ -293,12 +293,8 @@ class Database:
 
     def get_row(self, table_name: str, row_id: int) -> list[Any]:
         """Read one row back through the cell codec (verifying)."""
-        table = self.table(table_name)
-        cells = [
-            self._plain_cell(table, row_id, column_pos)
-            for column_pos in range(len(table.schema.columns))
-        ]
-        return table.schema.decode_row(cells)
+        ((_, values),) = self._decode_rows(self.table(table_name), [row_id])
+        return values
 
     def get_value(self, table_name: str, row_id: int, column_name: str) -> Any:
         table = self.table(table_name)
@@ -361,10 +357,7 @@ class Database:
             key = column.encode(value)
             indexes = self.indexes_on(table_name, column_name)
             if indexes:
-                row_ids = indexes[0].structure.search(key)
-                return [
-                    (row_id, self.get_row(table_name, row_id)) for row_id in row_ids
-                ]
+                return self._decode_rows(table, indexes[0].structure.search(key))
             return self._scan_filter(table_name, column_name, lambda cell: cell == key)
         finally:
             AUDIT.emit("query.end", op="point")
@@ -382,9 +375,7 @@ class Database:
             indexes = self.indexes_on(table_name, column_name)
             if indexes:
                 hits = indexes[0].structure.range_search(low_key, high_key)
-                return [
-                    (row_id, self.get_row(table_name, row_id)) for _, row_id in hits
-                ]
+                return self._decode_rows(table, [row_id for _, row_id in hits])
             return self._scan_filter(
                 table_name, column_name, lambda cell: low_key <= cell <= high_key
             )
@@ -414,9 +405,7 @@ class Database:
             indexes = self.indexes_on(table_name, column_name)
             if indexes:
                 hits = indexes[0].structure.range_search(low_key, high_key)
-                return [
-                    (row_id, self.get_row(table_name, row_id)) for _, row_id in hits
-                ]
+                return self._decode_rows(table, [row_id for _, row_id in hits])
             return self._scan_filter(
                 table_name, column_name, lambda cell: cell.startswith(low_key)
             )
@@ -437,9 +426,7 @@ class Database:
             indexes = self.indexes_on(table_name, column_name)
             if indexes:
                 hits = indexes[0].structure.range_search(low_key, high_key)
-                return [
-                    (row_id, self.get_row(table_name, row_id)) for _, row_id in hits
-                ]
+                return self._decode_rows(table, [row_id for _, row_id in hits])
             return self._scan_filter(
                 table_name, column_name, lambda cell: cell >= low_key
             )
@@ -459,9 +446,7 @@ class Database:
             indexes = self.indexes_on(table_name, column_name)
             if indexes:
                 hits = indexes[0].structure.range_search(b"", high_key)
-                return [
-                    (row_id, self.get_row(table_name, row_id)) for _, row_id in hits
-                ]
+                return self._decode_rows(table, [row_id for _, row_id in hits])
             return self._scan_filter(
                 table_name, column_name, lambda cell: cell <= high_key
             )
@@ -469,10 +454,9 @@ class Database:
             AUDIT.emit("query.end", op="at_most")
 
     def scan(self, table_name: str) -> Iterator[tuple[int, list[Any]]]:
-        """Full decoded scan of a table."""
+        """Full decoded scan of a table (decoded in one batch on first use)."""
         table = self.table(table_name)
-        for row_id, _ in table.scan():
-            yield row_id, self.get_row(table_name, row_id)
+        yield from self._decode_rows(table, table.row_ids)
 
     def count(self, table_name: str) -> int:
         return len(self.table(table_name))
@@ -522,6 +506,19 @@ class Database:
                 return stored
         return self._cell_codec.encode_cells(items)
 
+    def _decode_cells_batch(
+        self, table: Table, items: Sequence[tuple[bytes, CellAddress]]
+    ) -> list[bytes]:
+        """Batch-decode sensitive cells under one trace span."""
+        if not items:
+            return []
+        if TRACER.enabled:
+            with TRACER.span("cell.decrypt_batch", table=table.schema.name) as span:
+                span.add_cost("cells", len(items))
+                span.add_cost("stored_bytes", sum(len(c) for c, _ in items))
+                return self._cell_codec.decode_cells(items)
+        return self._cell_codec.decode_cells(items)
+
     def _plain_cells_batch(
         self, table: Table, row_ids: Sequence[int], column_pos: int
     ) -> list[bytes]:
@@ -529,16 +526,48 @@ class Database:
         stored = [table.get_cell(row_id, column_pos) for row_id in row_ids]
         if not table.schema.columns[column_pos].sensitive:
             return stored
-        items = [
-            (cell, table.address(row_id, column_pos))
-            for cell, row_id in zip(stored, row_ids)
+        return self._decode_cells_batch(
+            table,
+            [
+                (cell, table.address(row_id, column_pos))
+                for cell, row_id in zip(stored, row_ids)
+            ],
+        )
+
+    def _decode_rows(
+        self, table: Table, row_ids: Sequence[int]
+    ) -> list[tuple[int, list[Any]]]:
+        """Whole rows, every sensitive cell decoded in one codec batch.
+
+        Cells are read and decoded in row-major order, the order a
+        ``get_row`` loop uses, so the rows, the per-query cipher counts
+        and any audit events equal that loop's.  A cell failing
+        verification fails the whole batch with the codec's error.
+        """
+        schema = table.schema
+        width = len(schema.columns)
+        sensitive = [
+            pos for pos, column in enumerate(schema.columns) if column.sensitive
         ]
-        if TRACER.enabled:
-            with TRACER.span("cell.decrypt_batch", table=table.schema.name) as span:
-                span.add_cost("cells", len(items))
-                span.add_cost("stored_bytes", sum(len(c) for c in stored))
-                return self._cell_codec.decode_cells(items)
-        return self._cell_codec.decode_cells(items)
+        rows = [
+            [table.get_cell(row_id, pos) for pos in range(width)] for row_id in row_ids
+        ]
+        plains = iter(
+            self._decode_cells_batch(
+                table,
+                [
+                    (cells[pos], table.address(row_id, pos))
+                    for row_id, cells in zip(row_ids, rows)
+                    for pos in sensitive
+                ],
+            )
+        )
+        out = []
+        for row_id, cells in zip(row_ids, rows):
+            for pos in sensitive:
+                cells[pos] = next(plains)
+            out.append((row_id, schema.decode_row(cells)))
+        return out
 
     def _scan_filter(
         self, table_name: str, column_name: str, predicate: Callable[[bytes], bool]

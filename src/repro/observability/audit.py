@@ -353,6 +353,10 @@ class AuditingIndexCodec:
 
     def encode(self, key: bytes, table_row, refs) -> bytes:
         payload = self._inner.encode(key, table_row, refs)
+        self._emit_encode(refs, payload)
+        return payload
+
+    def _emit_encode(self, refs, payload: bytes) -> None:
         AUDIT.emit(
             "index.encode",
             codec=self.name,
@@ -363,7 +367,6 @@ class AuditingIndexCodec:
             bytes=len(payload),
             digests=block_digests(self._value_ciphertext(payload)),
         )
-        return payload
 
     def _audited_decode(self, operation, leaf: bool):
         try:
@@ -385,6 +388,21 @@ class AuditingIndexCodec:
         return self._audited_decode(
             lambda: self._inner.decode(payload, refs), bool(refs.is_leaf)
         )
+
+    # Batch methods need explicit overrides (see AuditingCellCodec).
+    # Encoding takes the inner batch path and then emits one event per
+    # entry in list order; decoding stays sequential so a failing entry
+    # emits its event exactly where the per-entry loop would.
+
+    def encode_many(self, items) -> list[bytes]:
+        items = list(items)
+        payloads = self._inner.encode_many(items)
+        for (_, _, refs), payload in zip(items, payloads):
+            self._emit_encode(refs, payload)
+        return payloads
+
+    def decode_many(self, items) -> list:
+        return [self.decode(payload, refs) for payload, refs in items]
 
     def decode_for_query(self, payload: bytes, refs, at_leaf: bool):
         return self._audited_decode(

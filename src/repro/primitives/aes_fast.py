@@ -22,6 +22,29 @@ TD tables plus round keys transformed by InvMixColumns.  Key schedules
 come from the shared cache in ``repro.primitives.aes`` (one expansion per
 distinct key across both backends) and the packed word schedules derived
 from them are cached here as well.
+
+Batches of two or more blocks take a second, *wide* kernel instead.  A
+chunk of up to :data:`WIDE_CHUNK` blocks is packed into one Python int
+(block ``j`` of the chunk in bytes ``16j .. 16j+15``, big-endian) and
+each round costs a fixed number of C-level operations whatever the
+chunk width:
+
+* SubBytes is one ``bytes.translate`` through the S-box;
+* ShiftRows is seven mask-and-shift terms, one per byte distance a row
+  moves within its block;
+* MixColumns is ``a ^ t ^ xtime(a ^ rot(a))`` per column, with ``rot``
+  a byte rotation inside each 32-bit column lane, ``t`` the XOR of the
+  column's four bytes and ``xtime`` a masked shift;
+* AddRoundKey XORs the round key repeated across the chunk.
+
+The per-round masks are key-independent module constants at the full
+chunk width.  The repeated round keys are built on the first wide call
+under a key and cached beside its word schedules, sized to the next
+power of two at or above the widest batch seen so far (at most a
+chunk), so keys that only ever see narrow batches stay small.  Only the
+16 most recently used keys keep theirs (:data:`_MAX_WIDE_SCHEDULES`).
+A narrower chunk shifts both right, which costs time proportional to
+the narrower width.
 """
 
 from __future__ import annotations
@@ -114,16 +137,33 @@ def _pack_word(flat: Sequence[int], c: int) -> int:
 
 _MAX_CACHED_WORD_SCHEDULES = 128
 
-_word_cache: OrderedDict[bytes, tuple[tuple[int, ...], tuple[int, ...]]] = OrderedDict()
+
+class _Schedules:
+    """Everything derived from one key: the packed (encrypt,
+    equivalent-inverse) word schedules and, once a wide batch has run
+    under the key, ``wide``: a width in blocks and the round keys
+    repeated that many times, sized to the widest batch seen so far."""
+
+    __slots__ = ("enc", "dec", "wide")
+
+    def __init__(self, enc: tuple[int, ...], dec: tuple[int, ...]) -> None:
+        self.enc = enc
+        self.dec = dec
+        self.wide: tuple[int, tuple[int, ...]] = (0, ())
+
+
+_word_cache: OrderedDict[bytes, _Schedules] = OrderedDict()
 _word_lock = threading.Lock()
 
 
-def _word_schedules(key: bytes) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Packed (encrypt, equivalent-inverse) word schedules for ``key``.
+def _word_schedules(key: bytes) -> _Schedules:
+    """Packed word schedules for ``key``.
 
     Derived from the shared byte schedule in ``repro.primitives.aes`` —
     deriving does not count as a second key expansion — and cached here so
-    repeat constructions are dictionary hits.
+    repeat constructions are dictionary hits.  Every instance over one key
+    shares the returned record, so the wide round keys are built once per
+    key, not once per instance.
     """
     cache_key = bytes(key)
     with _word_lock:
@@ -139,12 +179,127 @@ def _word_schedules(key: bytes) -> tuple[tuple[int, ...], tuple[int, ...]]:
         flat = round_keys[rounds - r]
         dec.extend(_inv_mix_word(flat, c) for c in range(4))
     dec.extend(_pack_word(round_keys[0], c) for c in range(4))
-    schedules = (tuple(enc), tuple(dec))
+    schedules = _Schedules(tuple(enc), tuple(dec))
     with _word_lock:
         _word_cache[cache_key] = schedules
         while len(_word_cache) > _MAX_CACHED_WORD_SCHEDULES:
             _word_cache.popitem(last=False)
     return schedules
+
+
+#: Blocks per wide-kernel chunk.
+WIDE_CHUNK = 256
+
+
+def _repeat(pattern: bytes, blocks: int = WIDE_CHUNK) -> int:
+    """A 16-byte pattern repeated ``blocks`` times, as one int."""
+    return int.from_bytes(pattern * blocks, "big")
+
+
+def _shift_rows_masks() -> list[int]:
+    """Destination masks of ShiftRows for byte distances 0, +4, +8, +12,
+    -4, -8 and -12.
+
+    Byte ``4c + r`` of a block (row ``r``, column ``c``) receives byte
+    ``4((c + r) % 4) + r``; the distance between the two takes one of
+    these seven values, and each value is one mask-and-shift term.
+    """
+    masks: dict[int, bytearray] = {}
+    for c in range(4):
+        for r in range(4):
+            dst, src = 4 * c + r, 4 * ((c + r) % 4) + r
+            masks.setdefault(src - dst, bytearray(16))[dst] = 0xFF
+    return [_repeat(bytes(masks[d])) for d in (0, 4, 8, 12, -4, -8, -12)]
+
+
+#: The seven ShiftRows masks, then the MixColumns lane masks and the
+#: per-byte high bit.
+_WIDE_MASKS = (
+    *_shift_rows_masks(),
+    _repeat(b"\xff\xff\xff\x00" * 4),
+    _repeat(b"\x00\x00\x00\xff" * 4),
+    _repeat(b"\xff\xff\x00\x00" * 4),
+    _repeat(b"\x00\x00\xff\xff" * 4),
+    _repeat(b"\x80" * 16),
+)
+
+
+def _wide_round_keys(enc: tuple[int, ...], blocks: int) -> tuple[int, ...]:
+    """Each round key of a packed word schedule repeated ``blocks`` times."""
+    raw = b"".join(word.to_bytes(4, "big") for word in enc)
+    return tuple(_repeat(raw[i : i + 16], blocks) for i in range(0, len(raw), 16))
+
+
+#: Keys whose wide round keys are kept at once (up to 45 KB each for
+#: AES-128, 61 KB for AES-256), most recently used last.  Bounded apart
+#: from the word-schedule cache: live instances keep their records, so
+#: without this a process running wide batches under many keys would hold
+#: every one of them.  Rebuilding an evicted key's wide round keys costs
+#: about a quarter of encrypting one full chunk.
+_MAX_WIDE_SCHEDULES = 16
+_wide_owners: OrderedDict[_Schedules, None] = OrderedDict()
+
+
+def _wide_schedule(schedules: _Schedules, width: int) -> tuple[int, tuple[int, ...]]:
+    """The record's wide round keys, grown to cover ``width`` blocks."""
+    key_blocks, keys = schedules.wide
+    if key_blocks < min(width, WIDE_CHUNK):
+        # Grow to the next power of two, so a key that only ever sees
+        # narrow batches never holds chunk-wide ints.  One tuple holds
+        # width and keys, so a concurrent reader sees a matching pair.
+        key_blocks = min(1 << (width - 1).bit_length(), WIDE_CHUNK)
+        keys = _wide_round_keys(schedules.enc, key_blocks)
+        schedules.wide = (key_blocks, keys)
+    with _word_lock:
+        _wide_owners[schedules] = None
+        _wide_owners.move_to_end(schedules)
+        while len(_wide_owners) > _MAX_WIDE_SCHEDULES:
+            evicted, _ = _wide_owners.popitem(last=False)
+            evicted.wide = (0, ())
+    return key_blocks, keys
+
+
+def _encrypt_wide(
+    blocks: Sequence[bytes],
+    keys: Sequence[int],
+    key_blocks: int,
+    masks: Sequence[int] = _WIDE_MASKS,
+    sb: bytes = _SBOX,
+    from_bytes=int.from_bytes,
+) -> list[bytes]:
+    """Encrypt 1..WIDE_CHUNK blocks as one packed int, round by round.
+
+    ``keys`` are the round keys repeated ``key_blocks`` >= len(blocks)
+    times; both they and the chunk-wide masks are shifted down to width.
+    """
+    n = 16 * len(blocks)
+    # Lists, not tuples: a tuple built from a generator is resized to its
+    # final length, and on release it parks in that length's free list,
+    # which this code never allocates from; up to 2 000 pile up there
+    # between full garbage collections.
+    if key_blocks * 16 != n:
+        cut = 8 * (16 * key_blocks - n)
+        keys = [k >> cut for k in keys]
+    if n != 16 * WIDE_CHUNK:
+        cut = 8 * (16 * WIDE_CHUNK - n)
+        masks = [m >> cut for m in masks]
+    m0, m4, m8, m12, mn4, mn8, mn12, hi3, lo1, hi2, lo2, h80 = masks
+    last = len(keys) - 1
+    x = from_bytes(b"".join(blocks), "big") ^ keys[0]
+    for i in range(1, last + 1):
+        x = from_bytes(x.to_bytes(n, "big").translate(sb), "big")
+        y = (x & m0) | ((x << 32) & m4) | ((x << 64) & m8) | ((x << 96) & m12)
+        x = y | ((x >> 32) & mn4) | ((x >> 64) & mn8) | ((x >> 96) & mn12)
+        if i < last:
+            # MixColumns: with u = a ^ rot(a) per column lane and t the XOR
+            # of the lane's four bytes, output byte i is a_i ^ t ^ xtime(u_i).
+            u = x ^ ((x << 8) & hi3) ^ ((x >> 24) & lo1)
+            t = u ^ ((u << 16) & hi2) ^ ((u >> 16) & lo2)
+            h = u & h80
+            x ^= t ^ ((u ^ h) << 1) ^ ((h >> 7) * 0x1B)
+        x ^= keys[i]
+    out = x.to_bytes(n, "big")
+    return [out[i : i + 16] for i in range(0, n, 16)]
 
 
 def _encrypt_words(
@@ -260,9 +415,11 @@ def _decrypt_words(
 class FastAES(BlockCipher):
     """T-table AES, byte-for-byte equivalent to the reference cipher.
 
-    Reports the same ``name`` as the reference (``aes-128`` etc.) so
-    metric counter keys, trace costs, and bench reports are identical
-    whichever backend produced them.
+    Single blocks and all decryption go through the T-tables; batches of
+    two or more blocks through the wide kernel, which is faster per block
+    from a width of two on.  Reports the same ``name`` as the reference
+    (``aes-128`` etc.) so metric counter keys, trace costs, and bench
+    reports are identical whichever backend produced them.
     """
 
     block_size = 16
@@ -274,7 +431,9 @@ class FastAES(BlockCipher):
             )
         self._rounds = _ROUNDS_BY_KEY_LENGTH[len(key)]
         self.name = f"aes-{len(key) * 8}"
-        self._enc_keys, self._dec_keys = _word_schedules(key)
+        self._schedules = _word_schedules(key)
+        self._enc_keys = self._schedules.enc
+        self._dec_keys = self._schedules.dec
 
     def encrypt_block(self, block: bytes) -> bytes:
         self._check_block(block)
@@ -301,30 +460,24 @@ class FastAES(BlockCipher):
         return (o0 << 96 | o1 << 64 | o2 << 32 | o3).to_bytes(16, "big")
 
     def encrypt_blocks(self, blocks: Sequence[bytes]) -> list[bytes]:
-        keys = self._enc_keys
-        rounds = self._rounds
-        check = self._check_block
-        core = _encrypt_words
-        from_bytes = int.from_bytes
-        out = []
-        for block in blocks:
-            check(block)
-            o0, o1, o2, o3 = core(
-                from_bytes(block[0:4], "big"),
-                from_bytes(block[4:8], "big"),
-                from_bytes(block[8:12], "big"),
-                from_bytes(block[12:16], "big"),
-                keys,
-                rounds,
-            )
-            out.append((o0 << 96 | o1 << 64 | o2 << 32 | o3).to_bytes(16, "big"))
+        if len(blocks) < 2:
+            return self._table_blocks(blocks, _encrypt_words, self._enc_keys)
+        if set(map(len, blocks)) != {16}:
+            for block in blocks:
+                self._check_block(block)
+        key_blocks, keys = _wide_schedule(self._schedules, len(blocks))
+        out: list[bytes] = []
+        for start in range(0, len(blocks), WIDE_CHUNK):
+            chunk = blocks[start : start + WIDE_CHUNK]
+            out += _encrypt_wide(chunk, keys, key_blocks)
         return out
 
     def decrypt_blocks(self, blocks: Sequence[bytes]) -> list[bytes]:
-        keys = self._dec_keys
+        return self._table_blocks(blocks, _decrypt_words, self._dec_keys)
+
+    def _table_blocks(self, blocks: Sequence[bytes], core, keys) -> list[bytes]:
         rounds = self._rounds
         check = self._check_block
-        core = _decrypt_words
         from_bytes = int.from_bytes
         out = []
         for block in blocks:

@@ -14,9 +14,10 @@ Two backends ship:
     optimised for clarity; this is the default.
 
 ``optimized``
-    T-table AES with cached packed key schedules and batched block loops
-    (``aes_fast.py``).  DES/3DES have no optimized variant and fall back
-    to the reference classes.
+    T-table AES with cached packed key schedules for single blocks and
+    decryption, and a wide kernel that encrypts batches of two or more
+    blocks as one packed integer per chunk (``aes_fast.py``).  DES/3DES
+    have no optimized variant and fall back to the reference classes.
 
 Byte-for-byte output equivalence between backends is a hard invariant:
 the golden-hash image tests and the ``repro backendparity`` CLI sweep
@@ -90,12 +91,16 @@ class PureBackend(CipherBackend):
 
 
 class OptimizedBackend(CipherBackend):
-    """T-table AES with cached schedules; DES stays on the reference.
+    """Pure-Python fast AES (:class:`FastAES`); DES stays on the reference.
 
-    Output is byte-identical to :class:`PureBackend` — only the wall
-    clock differs.  The Sect. 4 invocation counts are charged by the
-    instrumentation wrappers above this layer and are therefore the same
-    under either backend.
+    Single blocks and all decryption run on T-tables; encryption batches
+    of two or more blocks run on the wide kernel, up to 256 blocks per
+    packed integer, so the batch paths above this layer (query-path cell
+    decode, EAX's shared OMAC waves, CTR keystreams, whole-node B⁺-tree
+    codecs) are where it pays.  Output is byte-identical to
+    :class:`PureBackend` — only the wall clock differs.  The Sect. 4
+    invocation counts are charged by the instrumentation wrappers above
+    this layer and are therefore the same under either backend.
     """
 
     name = "optimized"

@@ -21,10 +21,9 @@ def xor_bytes(x: bytes, y: bytes) -> bytes:
     """
     if len(x) < len(y):
         x, y = y, x
-    out = bytearray(x)
-    for i, b in enumerate(y):
-        out[i] ^= b
-    return bytes(out)
+    # Zero-extending y on the right is a left shift of its integer value.
+    shifted = int.from_bytes(y, "big") << 8 * (len(x) - len(y))
+    return (int.from_bytes(x, "big") ^ shifted).to_bytes(len(x), "big")
 
 
 def xor_bytes_strict(x: bytes, y: bytes) -> bytes:
@@ -37,7 +36,8 @@ def xor_bytes_strict(x: bytes, y: bytes) -> bytes:
         raise ValueError(
             f"strict xor requires equal lengths, got {len(x)} and {len(y)}"
         )
-    return bytes(a ^ b for a, b in zip(x, y))
+    value = int.from_bytes(x, "big") ^ int.from_bytes(y, "big")
+    return value.to_bytes(len(x), "big")
 
 
 def split_blocks(data: bytes, block_size: int) -> list[bytes]:

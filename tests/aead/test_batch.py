@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aead import make_aead
-from repro.errors import AuthenticationError
+from repro.errors import AuthenticationError, NonceError
 from repro.primitives.aes import AES
 from repro.primitives.aes_fast import FastAES
 from repro.primitives.blockcipher import CountingCipher
@@ -137,3 +137,77 @@ def test_batch_property_byte_for_byte(name, plaintexts):
     ]
     expected = [sequential.encrypt(n, p, h) for n, p, h in items]
     assert batched.encrypt_batch(items) == expected
+
+
+# -- EAX batches across its 256-message passes ----------------------------------
+#
+# EAX runs a batch in passes of 256 messages, but the batch must still
+# behave as one: every nonce is checked before any cipher call and every
+# tag before any keystream block, so a failing batch costs exactly the
+# MACs of all its messages, wherever the bad tag sits.
+
+WIDE_BATCH = 600
+
+
+def _reset(counters):
+    for counter in counters:
+        counter.reset()
+
+
+def _eax_wide(counters):
+    aead = build("eax", FastAES, counters=counters)
+    items = [
+        (nonce_for(aead, i), bytes([i % 256]) * (i % 37), b"h%d" % i)
+        for i in range(WIDE_BATCH)
+    ]
+    return aead, items
+
+
+def test_eax_batch_across_passes_equals_loop():
+    loop_counters, batch_counters = [], []
+    sequential, items = _eax_wide(loop_counters)
+    batched, _ = _eax_wide(batch_counters)
+    _reset(loop_counters + batch_counters)
+    sealed = [sequential.encrypt(*item) for item in items]
+    assert batched.encrypt_batch(items) == sealed
+    assert total_calls(batch_counters) == total_calls(loop_counters)
+    quads = [(n, c, t, h) for (n, _, h), (c, t) in zip(items, sealed)]
+    _reset(loop_counters + batch_counters)
+    plaintexts = [sequential.decrypt(*quad) for quad in quads]
+    assert batched.decrypt_batch(quads) == plaintexts
+    assert total_calls(batch_counters) == total_calls(loop_counters)
+
+
+@pytest.mark.parametrize("bad", [0, 255, 256, WIDE_BATCH - 1])
+def test_eax_failing_batch_costs_exactly_its_macs(bad):
+    counters = []
+    aead, items = _eax_wide(counters)
+    quads = [
+        (n, c, t, h) for (n, _, h), (c, t) in zip(items, aead.encrypt_batch(items))
+    ]
+    _reset(counters)
+    aead.decrypt_batch(quads)
+    keystream_blocks = sum(-(-len(c) // 16) for _, c, _, _ in quads)
+    macs_only = total_calls(counters) - keystream_blocks
+    nonce, ciphertext, tag, header = quads[bad]
+    quads[bad] = (nonce, ciphertext, bytes([tag[0] ^ 1]) + tag[1:], header)
+    _reset(counters)
+    with pytest.raises(AuthenticationError, match="^invalid$"):
+        aead.decrypt_batch(quads)
+    assert total_calls(counters) == macs_only
+
+
+def test_eax_batch_checks_every_nonce_before_any_cipher_call():
+    counters = []
+    aead, items = _eax_wide(counters)
+    quads = [
+        (n, c, t, h) for (n, _, h), (c, t) in zip(items, aead.encrypt_batch(items))
+    ]
+    items[300] = (b"", b"x", b"")
+    quads[300] = (b"",) + quads[300][1:]
+    _reset(counters)
+    with pytest.raises(NonceError):
+        aead.encrypt_batch(items)
+    with pytest.raises(NonceError):
+        aead.decrypt_batch(quads)
+    assert total_calls(counters) == 0
