@@ -112,7 +112,7 @@ Commands:
   series; ``--inject cipher-miscount`` / ``--inject wal-fallback``
   simulate faults to prove the rules fire.  Exits 1 when any alert
   fires, 2 on usage errors.
-* ``forensics <FLIGHT.json> [--scorecard] [--timeline]`` — grade a
+* ``forensics <FLIGHT.json> [--timeline]`` — grade a
   recorded flight document: join the typed fault-injection ground
   truth against the detections the stack emitted, print the per-class
   detection scorecard (rate, latency in ticks, false positives) and —
@@ -138,8 +138,13 @@ alert, missed detection), and 2 on a usage error.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, Sequence
 
 from repro.analysis.collision import run_collision_experiment
 from repro.analysis.overhead import (
@@ -151,9 +156,217 @@ from repro.analysis.overhead import (
 from repro.analysis.report import format_table
 
 
-def _demo(argv: list[str]) -> int:
-    if argv:
-        raise UsageError(f"demo takes no arguments, got {argv[0]!r}")
+class UsageError(Exception):
+    """Bad command-line input; ``main`` prints usage and exits 2."""
+
+
+# -- flag values: each converter takes (text, flag name) -----------------
+
+
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{what} must be an integer, got {text!r}") from None
+
+
+def _parse_float(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise UsageError(f"{what} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"{what} must be a finite number, got {text!r}")
+    return value
+
+
+def _text(text: str, what: str) -> str:
+    return text
+
+
+def _comma_list(text: str, what: str) -> list[str]:
+    return [item for item in text.split(",") if item]
+
+
+def _parse_key(value: str, what: str) -> bytes:
+    try:
+        key = bytes.fromhex(value)
+    except ValueError:
+        raise UsageError(f"{what} must be a hex string, got {value!r}") from None
+    if len(key) < 16:
+        raise UsageError(f"{what} must be at least 16 bytes (32 hex digits)")
+    return key
+
+
+def _seed_key(text: str, what: str = "") -> bytes:
+    return hashlib.sha256(text.encode("utf-8")).digest()
+
+
+def _bench_report(path: str, what: str) -> dict:
+    from repro.bench import load_report
+
+    try:
+        return load_report(path)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _health_rules(path: str, what: str) -> list:
+    from repro.observability.health import load_rules
+
+    try:
+        specs = json.loads(Path(path).read_text())
+        if not isinstance(specs, list):
+            raise ValueError("a rules file holds a JSON array of rule objects")
+        return load_rules(specs)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot load rules from {path}: {exc}") from None
+
+
+def _injection(text: str, what: str) -> str:
+    from repro.observability.monitor import INJECTIONS
+
+    return _choice(text, INJECTIONS, "injection")
+
+
+# -- the declarative command table and its one parser ---------------------
+
+
+@dataclass(frozen=True)
+class Flag:
+    """One flag of a command, or a command's positional argument.
+
+    ``kind`` converts the text value as ``kind(text, name)``; a flag
+    without one is a switch.  A ``many`` flag collects every occurrence,
+    in order, into one list shared by all flags with the same ``dest``.
+    """
+
+    name: str
+    kind: Callable[[str, str], Any] | None = None
+    default: Any = None
+    minimum: float | None = None
+    many: bool = False
+    dest: str = ""
+
+    @property
+    def key(self) -> str:
+        """The handler keyword this flag fills."""
+        return self.dest or self.name.lstrip("-").replace("-", "_")
+
+
+@dataclass(frozen=True)
+class Command:
+    """A handler, its flags, and its optional positional argument."""
+
+    run: Callable[..., int]
+    flags: tuple[Flag, ...] = ()
+    arg: Flag | None = None
+    #: The usage error for a second positional argument.
+    too_many: str = ""
+
+
+def _convert(flag: Flag, text: str) -> Any:
+    value = flag.kind(text, flag.name)
+    if flag.minimum is not None and value < flag.minimum:
+        bound = "non-negative" if flag.minimum == 0 else f"at least {flag.minimum}"
+        raise UsageError(f"{flag.name} must be {bound}")
+    return value
+
+
+def _parse(name: str, command: Command, argv: list[str]) -> dict[str, Any]:
+    """Handler keywords from ``argv``.  A flag takes its value as
+    ``--flag value`` or ``--flag=value``; an argument not starting with
+    ``--`` is the command's positional argument."""
+    flags = {flag.name: flag for flag in command.flags}
+    declared = command.flags + ((command.arg,) if command.arg else ())
+    opts: dict[str, Any] = {
+        flag.key: [] if flag.many else flag.default if flag.kind else False
+        for flag in declared
+    }
+    positional_seen = False
+    args = iter(argv)
+    for arg in args:
+        if command.arg is not None and not arg.startswith("--"):
+            if positional_seen:
+                raise UsageError(command.too_many)
+            positional_seen = True
+            opts[command.arg.key] = _convert(command.arg, arg)
+            continue
+        flag_name, equals, value = arg.partition("=")
+        flag = flags.get(flag_name)
+        if flag is None or (flag.kind is None and equals):
+            raise UsageError(f"unknown {name} argument {arg!r}")
+        if flag.kind is None:
+            opts[flag.key] = True
+            continue
+        if not equals:
+            value = next(args, None)
+            if value is None:
+                raise UsageError(f"{flag.name} requires a value")
+        if flag.many:
+            opts[flag.key].append(_convert(flag, value))
+        else:
+            opts[flag.key] = _convert(flag, value)
+    return opts
+
+
+def _resolve_configs(slugs: Sequence[str] | None) -> list[tuple[str, Any]]:
+    """``(label, EncryptionConfig)`` pairs for configuration slugs in the
+    given order; every configuration when ``slugs`` is None."""
+    from repro.observability.leakmon import CONFIG_SLUGS
+    from repro.robustness.campaign import default_campaign_configs
+
+    if slugs is None:
+        slugs = list(CONFIG_SLUGS)
+    unknown = [slug for slug in slugs if slug not in CONFIG_SLUGS]
+    if unknown:
+        raise UsageError(
+            f"unknown configuration slug(s) {', '.join(sorted(unknown))}; "
+            f"available: {', '.join(CONFIG_SLUGS)}"
+        )
+    if not slugs:
+        raise UsageError(
+            f"no configurations selected; available: {', '.join(CONFIG_SLUGS)}"
+        )
+    by_label = dict(default_campaign_configs())
+    return [(CONFIG_SLUGS[slug], by_label[CONFIG_SLUGS[slug]]) for slug in slugs]
+
+
+def _flagged(tag: str, findings: Sequence[str]) -> bool:
+    """Print each finding to stderr as ``TAG: finding`` after a blank
+    line on stdout; True when there was any."""
+    if findings:
+        print()
+        for finding in findings:
+            print(f"{tag}: {finding}", file=sys.stderr)
+    return bool(findings)
+
+
+def _choice(value: str, available: Sequence[str], what: str) -> str:
+    if value not in available:
+        raise UsageError(
+            f"unknown {what} {value!r}; available: {', '.join(available)}"
+        )
+    return value
+
+
+def _choices(
+    values: list[str] | None, available: tuple[str, ...], what: str
+) -> tuple[str, ...]:
+    """``values`` checked against ``available``; all of them when None."""
+    if values is None:
+        return available
+    if not values or any(value not in available for value in values):
+        raise UsageError(
+            f"unknown or empty {what}(s); available: {', '.join(available)}"
+        )
+    return tuple(values)
+
+
+# -- handlers ---------------------------------------------------------------
+
+
+def _demo() -> int:
     from repro import EncryptedDatabase, EncryptionConfig
     from repro.engine import Column, ColumnType, PointQuery, TableSchema
 
@@ -171,9 +384,7 @@ def _demo(argv: list[str]) -> int:
     return 0
 
 
-def _attacks(argv: list[str]) -> int:
-    if argv:
-        raise UsageError(f"attacks takes no arguments, got {argv[0]!r}")
+def _attacks() -> int:
     from repro.attacks import (
         evaluate_append_forgery,
         evaluate_index_linkage,
@@ -219,9 +430,7 @@ def _attacks(argv: list[str]) -> int:
     return 0
 
 
-def _overhead(argv: list[str]) -> int:
-    if argv:
-        raise UsageError(f"overhead takes no arguments, got {argv[0]!r}")
+def _overhead() -> int:
     storage_rows = []
     for scheme in ("eax", "ocb", "ccfb", "gcm"):
         overhead = measure_storage_overhead(scheme, b"P" * 48)
@@ -249,32 +458,17 @@ def _overhead(argv: list[str]) -> int:
     return 0
 
 
-class UsageError(Exception):
-    """Bad command-line input; the driver prints usage and exits 2."""
+def _collisions(trials: int) -> int:
+    experiment = run_collision_experiment(trials)
+    print(experiment)
+    if trials == 1024:
+        print("paper's run on its own address set found 6")
+    return 0
 
 
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"{what} must be an integer, got {text!r}") from None
-
-
-def _faultcampaign(argv: list[str]) -> int:
+def _faultcampaign(seeds: int) -> int:
     from repro.robustness import run_campaign
 
-    seeds = 25
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--seeds":
-            if not args:
-                raise UsageError("--seeds requires a value")
-            seeds = _parse_int(args.pop(0), "--seeds")
-        elif arg.startswith("--seeds="):
-            seeds = _parse_int(arg.split("=", 1)[1], "--seeds")
-        else:
-            raise UsageError(f"unknown faultcampaign argument {arg!r}")
     result = run_campaign(seeds=seeds)
     print(result.format_matrix())
     recovered = sum(r.rows_recovered for r in result.records)
@@ -285,91 +479,32 @@ def _faultcampaign(argv: list[str]) -> int:
         f"{len(result.resilient_failures)} crashes, "
         f"{recovered} rows recovered, {quarantined} rows quarantined"
     )
-    violations = result.check_paper_expectations()
-    if violations:
-        print()
-        for violation in violations:
-            print(f"VIOLATION: {violation}", file=sys.stderr)
+    if _flagged("VIOLATION", result.check_paper_expectations()):
         return 1
     print("matrix consistent with the paper's claims "
           "(broken schemes corrupt silently, AEAD never does)")
     return 0
 
 
-def _crashcampaign(argv: list[str]) -> int:
+def _crashcampaign(
+    rows: int,
+    limit: int | None,
+    configs: list[str] | None,
+    modes: list[str] | None,
+    phases: list[str] | None,
+) -> int:
     from repro.durability import run_crash_campaign
     from repro.durability.crashcampaign import CAMPAIGN_PHASES, CRASH_MODES
-    from repro.observability.leakmon import CONFIG_SLUGS
-    from repro.robustness.campaign import default_campaign_configs
 
-    rows = 5
-    limit: int | None = None
-    config_slugs: list[str] | None = None
-    modes: list[str] | None = None
-    phases: list[str] | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--rows" or arg.startswith("--rows="):
-            rows = _parse_int(_flag_value(arg, args, "--rows"), "--rows")
-        elif arg == "--limit" or arg.startswith("--limit="):
-            limit = _parse_int(_flag_value(arg, args, "--limit"), "--limit")
-        elif arg == "--configs" or arg.startswith("--configs="):
-            value = _flag_value(arg, args, "--configs")
-            config_slugs = [s for s in value.split(",") if s]
-        elif arg == "--modes" or arg.startswith("--modes="):
-            value = _flag_value(arg, args, "--modes")
-            modes = [m for m in value.split(",") if m]
-        elif arg == "--phases" or arg.startswith("--phases="):
-            value = _flag_value(arg, args, "--phases")
-            phases = [p for p in value.split(",") if p]
-        else:
-            raise UsageError(f"unknown crashcampaign argument {arg!r}")
-    if rows < 1:
-        raise UsageError("--rows must be at least 1")
-    if limit is not None and limit < 1:
-        raise UsageError("--limit must be at least 1")
-    if phases is not None:
-        bad = [p for p in phases if p not in CAMPAIGN_PHASES]
-        if bad or not phases:
-            raise UsageError(
-                f"unknown or empty campaign phase(s); "
-                f"available: {', '.join(CAMPAIGN_PHASES)}"
-            )
-
-    configs = None
-    if config_slugs is not None:
-        unknown = [slug for slug in config_slugs if slug not in CONFIG_SLUGS]
-        if unknown or not config_slugs:
-            raise UsageError(
-                f"unknown or empty configuration slug(s); "
-                f"available: {', '.join(CONFIG_SLUGS)}"
-            )
-        by_label = dict(default_campaign_configs())
-        configs = [
-            (CONFIG_SLUGS[slug], by_label[CONFIG_SLUGS[slug]])
-            for slug in config_slugs
-        ]
-    if modes is not None:
-        bad = [m for m in modes if m not in CRASH_MODES]
-        if bad or not modes:
-            raise UsageError(
-                f"unknown or empty crash mode(s); "
-                f"available: {', '.join(CRASH_MODES)}"
-            )
+    phases = _choices(phases, CAMPAIGN_PHASES, "campaign phase")
+    config_items = _resolve_configs(configs)
+    modes = _choices(modes, CRASH_MODES, "crash mode")
 
     result = run_crash_campaign(
-        rows=rows,
-        limit=limit,
-        configs=configs,
-        modes=tuple(modes) if modes is not None else CRASH_MODES,
-        phases=tuple(phases) if phases is not None else CAMPAIGN_PHASES,
+        rows=rows, limit=limit, configs=config_items, modes=modes, phases=phases
     )
     print(result.format_matrix())
-    if not result.ok:
-        print()
-        for violation in result.violations:
-            print(f"VIOLATION: {violation}", file=sys.stderr)
+    if _flagged("VIOLATION", result.violations):
         return 1
     messages = []
     if result.per_config:
@@ -387,70 +522,26 @@ def _crashcampaign(argv: list[str]) -> int:
     return 0
 
 
-def _chaoscampaign(argv: list[str]) -> int:
-    from repro.observability.leakmon import CONFIG_SLUGS
+def _chaoscampaign(
+    steps: int,
+    seed: int,
+    shards: int,
+    replicas: int,
+    no_flaky: bool,
+    configs: list[str] | None,
+) -> int:
     from repro.resilience.chaos import run_chaos_campaign
-    from repro.robustness.campaign import default_campaign_configs
-
-    steps = 60
-    seed = 0
-    shards = 2
-    replicas = 3
-    flaky = True
-    config_slugs: list[str] | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--steps" or arg.startswith("--steps="):
-            steps = _parse_int(_flag_value(arg, args, "--steps"), "--steps")
-        elif arg == "--seed" or arg.startswith("--seed="):
-            seed = _parse_int(_flag_value(arg, args, "--seed"), "--seed")
-        elif arg == "--shards" or arg.startswith("--shards="):
-            shards = _parse_int(_flag_value(arg, args, "--shards"), "--shards")
-        elif arg == "--replicas" or arg.startswith("--replicas="):
-            replicas = _parse_int(
-                _flag_value(arg, args, "--replicas"), "--replicas"
-            )
-        elif arg == "--no-flaky":
-            flaky = False
-        elif arg == "--configs" or arg.startswith("--configs="):
-            value = _flag_value(arg, args, "--configs")
-            config_slugs = [s for s in value.split(",") if s]
-        else:
-            raise UsageError(f"unknown chaoscampaign argument {arg!r}")
-    if steps < 1:
-        raise UsageError("--steps must be at least 1")
-    if shards < 1:
-        raise UsageError("--shards must be at least 1")
-    if replicas < 2:
-        raise UsageError("--replicas must be at least 2")
-    configs = None
-    if config_slugs is not None:
-        unknown = [slug for slug in config_slugs if slug not in CONFIG_SLUGS]
-        if unknown or not config_slugs:
-            raise UsageError(
-                f"unknown or empty configuration slug(s); "
-                f"available: {', '.join(CONFIG_SLUGS)}"
-            )
-        by_label = dict(default_campaign_configs())
-        configs = [
-            (CONFIG_SLUGS[slug], by_label[CONFIG_SLUGS[slug]])
-            for slug in config_slugs
-        ]
 
     result = run_chaos_campaign(
         steps=steps,
         seed=seed,
         shard_count=shards,
         replicas=replicas,
-        flaky=flaky,
-        configs=configs,
+        flaky=not no_flaky,
+        configs=_resolve_configs(configs),
     )
     print(result.format_matrix())
-    if not result.ok:
-        print()
-        for violation in result.violations:
-            print(f"VIOLATION: {violation}", file=sys.stderr)
+    if _flagged("VIOLATION", result.violations):
         return 1
     rollbacks = sum(r.rollbacks_injected for r in result.per_config)
     corruptions = sum(r.corruptions for r in result.per_config)
@@ -462,74 +553,50 @@ def _chaoscampaign(argv: list[str]) -> int:
     return 0
 
 
-def _scrub(argv: list[str]) -> int:
+#: The key chain ``scrub`` and ``rotate`` assume when no old key is given.
+_DEMO_SEED = "repro-demo-master"
+
+
+def _seed_demo_keyspace(keyspace) -> None:
+    """The six demo rows ``scrub --demo`` and a fresh ``rotate`` start from."""
+    from repro.engine.schema import Column, ColumnType, TableSchema
+
+    keyspace.create_table(TableSchema("people", [
+        Column("id", ColumnType.INT),
+        Column("name", ColumnType.TEXT),
+        Column("city", ColumnType.TEXT, sensitive=False),
+    ]))
+    for i in range(6):
+        keyspace.insert("people", [i, f"name-{i:03d}", f"city-{i % 3}"])
+
+
+def _scrub(
+    replicas: list[str],
+    old_masters: list[bytes],
+    no_repair: bool,
+    demo: bool,
+    inject: str | None,
+    shards: int,
+    slug: str,
+) -> int:
     from repro.core.keys import KeyChain
     from repro.durability.vdisk import FileDisk
-    from repro.engine.schema import Column, ColumnType, TableSchema
     from repro.errors import DiskError
-    from repro.observability.leakmon import CONFIG_SLUGS
     from repro.resilience import MirroredDisk, scrub_keyspace
-    from repro.robustness.campaign import default_campaign_configs
     from repro.sharding import ShardedKeyspace
 
-    replicas: list[str] = []
-    old_masters: list[bytes] = []
-    repair = True
-    demo = False
-    inject: str | None = None
-    shards = 2
-    slug = "aead-eax"
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--replica" or arg.startswith("--replica="):
-            replicas.append(_flag_value(arg, args, "--replica"))
-        elif arg == "--old-key" or arg.startswith("--old-key="):
-            old_masters.append(
-                _parse_key(_flag_value(arg, args, "--old-key"), "--old-key")
-            )
-        elif arg == "--old-seed" or arg.startswith("--old-seed="):
-            old_masters.append(_seed_key(_flag_value(arg, args, "--old-seed")))
-        elif arg == "--no-repair":
-            repair = False
-        elif arg == "--demo":
-            demo = True
-        elif arg == "--inject-fault" or arg.startswith("--inject-fault="):
-            inject = _flag_value(arg, args, "--inject-fault")
-        elif arg == "--shards" or arg.startswith("--shards="):
-            shards = _parse_int(_flag_value(arg, args, "--shards"), "--shards")
-        elif arg == "--config" or arg.startswith("--config="):
-            slug = _flag_value(arg, args, "--config")
-        else:
-            raise UsageError(f"unknown scrub argument {arg!r}")
     if len(replicas) < 2:
         raise UsageError("scrub requires at least two --replica PATH flags")
-    if shards < 1:
-        raise UsageError("--shards must be at least 1")
-    if slug not in CONFIG_SLUGS:
-        raise UsageError(
-            f"unknown configuration slug {slug!r}; "
-            f"available: {', '.join(CONFIG_SLUGS)}"
-        )
-    if not old_masters:
-        old_masters = [_seed_key("repro-demo-master")]
+    ((_, config),) = _resolve_configs([slug])
 
-    chain = KeyChain(old_masters)
+    chain = KeyChain(old_masters or [_seed_key(_DEMO_SEED)])
     disks = [FileDisk(path) for path in replicas]
     mirror = MirroredDisk(disks)
     if demo and not mirror.names():
-        config = dict(default_campaign_configs())[CONFIG_SLUGS[slug]]
         keyspace = ShardedKeyspace.open(
             mirror, chain, config, shard_count=shards
         )
-        schema = TableSchema("people", [
-            Column("id", ColumnType.INT),
-            Column("name", ColumnType.TEXT),
-            Column("city", ColumnType.TEXT, sensitive=False),
-        ])
-        keyspace.create_table(schema)
-        for i in range(6):
-            keyspace.insert("people", [i, f"name-{i:03d}", f"city-{i % 3}"])
+        _seed_demo_keyspace(keyspace)
         keyspace.checkpoint()
         print(
             f"created a fresh {shards}-shard demo keyspace across "
@@ -553,98 +620,42 @@ def _scrub(argv: list[str]) -> int:
             raise UsageError(f"--inject-fault: no replica holds {inject!r}")
         print(f"injected fault into {inject!r} on {flipped} replica(s)")
 
-    report = scrub_keyspace(mirror, chain, repair=repair)
+    report = scrub_keyspace(mirror, chain, repair=not no_repair)
     print(report.format())
-    if report.unrepaired:
-        print()
-        for name in report.unrepaired:
-            print(
-                f"UNREPAIRABLE: {name} has no authentic copy on any replica",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+    unrepairable = [
+        f"{name} has no authentic copy on any replica"
+        for name in report.unrepaired
+    ]
+    return 1 if _flagged("UNREPAIRABLE", unrepairable) else 0
 
 
-def _parse_key(value: str, what: str) -> bytes:
-    try:
-        key = bytes.fromhex(value)
-    except ValueError:
-        raise UsageError(f"{what} must be a hex string, got {value!r}") from None
-    if len(key) < 16:
-        raise UsageError(f"{what} must be at least 16 bytes (32 hex digits)")
-    return key
-
-
-def _seed_key(text: str) -> bytes:
-    import hashlib
-
-    return hashlib.sha256(text.encode("utf-8")).digest()
-
-
-def _rotate(argv: list[str]) -> int:
+def _rotate(
+    directory: str | None,
+    old_masters: list[bytes],
+    new_masters: list[bytes],
+    shards: int,
+    slug: str,
+    shard_id: str | None,
+) -> int:
     from repro.core.keys import KeyChain
     from repro.durability.vdisk import FileDisk
-    from repro.engine.schema import Column, ColumnType, TableSchema
-    from repro.observability.leakmon import CONFIG_SLUGS
-    from repro.robustness.campaign import default_campaign_configs
     from repro.sharding import ShardedKeyspace
 
-    directory: str | None = None
-    old_masters: list[bytes] = []
-    new_master: bytes | None = None
-    shards = 2
-    slug = "aead-eax"
-    shard_id: str | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--dir" or arg.startswith("--dir="):
-            directory = _flag_value(arg, args, "--dir")
-        elif arg == "--old-key" or arg.startswith("--old-key="):
-            old_masters.append(
-                _parse_key(_flag_value(arg, args, "--old-key"), "--old-key")
-            )
-        elif arg == "--old-seed" or arg.startswith("--old-seed="):
-            old_masters.append(_seed_key(_flag_value(arg, args, "--old-seed")))
-        elif arg == "--new-key" or arg.startswith("--new-key="):
-            if new_master is not None:
-                raise UsageError("rotate takes exactly one new key")
-            new_master = _parse_key(
-                _flag_value(arg, args, "--new-key"), "--new-key"
-            )
-        elif arg == "--new-seed" or arg.startswith("--new-seed="):
-            if new_master is not None:
-                raise UsageError("rotate takes exactly one new key")
-            new_master = _seed_key(_flag_value(arg, args, "--new-seed"))
-        elif arg == "--shards" or arg.startswith("--shards="):
-            shards = _parse_int(_flag_value(arg, args, "--shards"), "--shards")
-        elif arg == "--config" or arg.startswith("--config="):
-            slug = _flag_value(arg, args, "--config")
-        elif arg == "--shard" or arg.startswith("--shard="):
-            shard_id = _flag_value(arg, args, "--shard")
-        else:
-            raise UsageError(f"unknown rotate argument {arg!r}")
+    if len(new_masters) > 1:
+        raise UsageError("rotate takes exactly one new key")
     if directory is None:
         raise UsageError("rotate requires --dir PATH")
+    new_master = new_masters[0] if new_masters else None
     if new_master is None and len(old_masters) < 2:
         # Without a new key the only meaningful run is a *resume*: the
         # supplied chain already holds the target epoch and lagging
         # shards are brought up to its head.
         raise UsageError("rotate requires --new-key HEX or --new-seed TEXT")
-    if shards < 1:
-        raise UsageError("--shards must be at least 1")
-    if slug not in CONFIG_SLUGS:
-        raise UsageError(
-            f"unknown configuration slug {slug!r}; "
-            f"available: {', '.join(CONFIG_SLUGS)}"
-        )
-    if not old_masters:
-        old_masters = [_seed_key("repro-demo-master")]
+    ((_, config),) = _resolve_configs([slug])
+    old_masters = old_masters or [_seed_key(_DEMO_SEED)]
     if new_master is not None and new_master in old_masters:
         raise UsageError("the new key must differ from every old chain key")
 
-    config = dict(default_campaign_configs())[CONFIG_SLUGS[slug]]
     chain = KeyChain(old_masters)
     keyspace = ShardedKeyspace.open(
         FileDisk(directory), chain, config, shard_count=shards
@@ -652,14 +663,7 @@ def _rotate(argv: list[str]) -> int:
     for issue in keyspace.recovery.issues:
         print(f"note: {issue}", file=sys.stderr)
     if keyspace.recovery.fresh:
-        schema = TableSchema("people", [
-            Column("id", ColumnType.INT),
-            Column("name", ColumnType.TEXT),
-            Column("city", ColumnType.TEXT, sensitive=False),
-        ])
-        keyspace.create_table(schema)
-        for i in range(6):
-            keyspace.insert("people", [i, f"name-{i:03d}", f"city-{i % 3}"])
+        _seed_demo_keyspace(keyspace)
         keyspace.create_index("people_by_id", "people", "id", kind="btree")
         keyspace.checkpoint()
         print(f"created a fresh {shards}-shard keyspace in {directory} "
@@ -712,49 +716,26 @@ def _rotate(argv: list[str]) -> int:
                 f"table {name!r} holds {found} rows after rotation, "
                 f"had {expected}"
             )
-    if failures:
-        print()
-        for failure in failures:
-            print(f"VERIFICATION FAILED: {failure}", file=sys.stderr)
+    if _flagged("VERIFICATION FAILED", failures):
         return 1
     print(f"verified: {len(rotated)} shard(s) at epoch {report.to_epoch}, "
           f"manifest ok, row counts preserved")
     return 0
 
 
-def _collisions(argv: list[str]) -> int:
-    if len(argv) > 1:
-        raise UsageError("collisions takes at most one argument (trial count)")
-    trials = _parse_int(argv[0], "collisions trial count") if argv else 1024
-    experiment = run_collision_experiment(trials)
-    print(experiment)
-    if trials == 1024:
-        print("paper's run on its own address set found 6")
-    return 0
-
-
-def _flag_value(arg: str, args: list[str], flag: str) -> str:
-    """Value of ``--flag value`` / ``--flag=value`` (shared convention)."""
-    if arg == flag:
-        if not args:
-            raise UsageError(f"{flag} requires a value")
-        return args.pop(0)
-    return arg.split("=", 1)[1]
-
-
-def _parse_float(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise UsageError(f"{what} must be a number, got {text!r}") from None
-
-
-def _bench(argv: list[str]) -> int:
+def _bench(
+    quick: bool,
+    force: bool,
+    scenarios: list[str] | None,
+    out: str | None,
+    baseline: dict | None,
+    threshold: float | None,
+    delta_out: str | None,
+) -> int:
     from repro.bench import (
         DEFAULT_WALL_THRESHOLD,
         compare_reports,
         divergences,
-        load_report,
         next_bench_path,
         run_bench,
         summarize,
@@ -762,47 +743,8 @@ def _bench(argv: list[str]) -> int:
         write_report,
     )
 
-    quick = False
-    force = False
-    scenario_names: list[str] | None = None
-    out: str | None = None
-    baseline_path: str | None = None
-    threshold = DEFAULT_WALL_THRESHOLD
-    delta_out: str | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--quick":
-            quick = True
-        elif arg == "--force":
-            force = True
-        elif arg == "--scenarios" or arg.startswith("--scenarios="):
-            value = _flag_value(arg, args, "--scenarios")
-            scenario_names = [s for s in value.split(",") if s]
-        elif arg == "--out" or arg.startswith("--out="):
-            out = _flag_value(arg, args, "--out")
-        elif arg == "--baseline" or arg.startswith("--baseline="):
-            baseline_path = _flag_value(arg, args, "--baseline")
-        elif arg == "--threshold" or arg.startswith("--threshold="):
-            threshold = _parse_float(
-                _flag_value(arg, args, "--threshold"), "--threshold"
-            )
-        elif arg == "--delta-out" or arg.startswith("--delta-out="):
-            delta_out = _flag_value(arg, args, "--delta-out")
-        else:
-            raise UsageError(f"unknown bench argument {arg!r}")
-    if threshold < 0:
-        raise UsageError("--threshold must be non-negative")
-
-    baseline = None
-    if baseline_path is not None:
-        try:
-            baseline = load_report(baseline_path)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-
     try:
-        report = run_bench(scenario_names, quick=quick)
+        report = run_bench(scenarios, quick=quick)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -816,49 +758,30 @@ def _bench(argv: list[str]) -> int:
     print(f"report written to {path}")
     failed = False
     if not report["ok"]:
-        print()
-        for failure in divergences(report):
-            print(f"DIVERGENCE: {failure}", file=sys.stderr)
+        _flagged("DIVERGENCE", divergences(report))
         failed = True
     if baseline is not None:
+        if threshold is None:
+            threshold = DEFAULT_WALL_THRESHOLD
         delta = compare_reports(baseline, report, wall_threshold=threshold)
         print()
         print(summarize_comparison(delta))
         if delta_out is not None:
-            import json as _json
-            from pathlib import Path as _Path
-
-            _Path(delta_out).write_text(
-                _json.dumps(delta, indent=2, sort_keys=True) + "\n"
+            Path(delta_out).write_text(
+                json.dumps(delta, indent=2, sort_keys=True) + "\n"
             )
             print(f"delta report written to {delta_out}")
-        if not delta["ok"]:
-            print()
-            for regression in delta["regressions"]:
-                print(f"REGRESSION: {regression}", file=sys.stderr)
-            failed = True
+        failed |= _flagged("REGRESSION", delta["regressions"])
     return 1 if failed else 0
 
 
-def _backendparity(argv: list[str]) -> int:
+def _backendparity(out: str | None) -> int:
     """Cross-backend equivalence sweep: every registered cipher backend
     must produce byte-identical output at three layers — raw blocks,
     whole database images, and batched-vs-sequential engine paths."""
-    import hashlib
-    import json as _json
-
     from repro.engine.storage import dump_database
     from repro.primitives.backends import available_backends, get_backend
     from repro.robustness.campaign import build_campaign_db, default_campaign_configs
-
-    out: str | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--out" or arg.startswith("--out="):
-            out = _flag_value(arg, args, "--out")
-        else:
-            raise UsageError(f"unknown backendparity argument {arg!r}")
 
     backends = available_backends()
     reference = backends[0]
@@ -950,19 +873,14 @@ def _backendparity(argv: list[str]) -> int:
         f"algorithms byte-identical across {len(backends)} backends"
     )
     if out is not None:
-        from pathlib import Path as _Path
-
-        _Path(out).write_text(_json.dumps(document, indent=2, sort_keys=True) + "\n")
+        Path(out).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
         print(f"parity report written to {out}")
-    for failure in failures:
-        print(f"DIVERGENCE: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return 1 if _flagged("DIVERGENCE", failures) else 0
 
 
 def _audit_replay(
     log_path: str, metrics_jsonl: str | None, metrics_prom: str | None
 ) -> int:
-    from repro.analysis.report import format_table
     from repro.observability import AuditError, LeakMonitor, read_events, write_snapshot
     from repro.observability.leakmon import PROBES
 
@@ -995,40 +913,22 @@ def _audit_replay(
     return 0
 
 
-def _audit_live(config_slugs: list[str] | None, log_dir: str | None) -> int:
-    from pathlib import Path
-
-    from repro.analysis.report import format_table
+def _audit_live(slugs: list[str] | None, log_dir: str | None) -> int:
     from repro.observability import LeakMonitor, write_snapshot
     from repro.observability.leakmon import CONFIG_SLUGS, PROBES, run_live_profile
-    from repro.robustness.campaign import default_campaign_configs
 
-    if config_slugs is None:
-        config_slugs = list(CONFIG_SLUGS)
-    unknown = [slug for slug in config_slugs if slug not in CONFIG_SLUGS]
-    if unknown:
-        raise UsageError(
-            f"unknown configuration slug(s) {', '.join(sorted(unknown))}; "
-            f"available: {', '.join(CONFIG_SLUGS)}"
-        )
-    if not config_slugs:
-        raise UsageError(
-            f"no configurations selected; available: {', '.join(CONFIG_SLUGS)}"
-        )
+    slugs = list(CONFIG_SLUGS) if slugs is None else slugs
+    config_items = _resolve_configs(slugs)
     directory = None
     if log_dir is not None:
         directory = Path(log_dir)
         directory.mkdir(parents=True, exist_ok=True)
 
-    configs = dict(default_campaign_configs())
     rows = []
     mismatches = []
-    for slug in config_slugs:
-        label = CONFIG_SLUGS[slug]
+    for slug, (label, config) in zip(slugs, config_items):
         sink = directory / f"audit-{slug}.jsonl" if directory else None
-        monitor, events, offline = run_live_profile(
-            configs[label], label, sink_path=sink
-        )
+        monitor, events, offline = run_live_profile(config, label, sink_path=sink)
         streaming = monitor.verdicts()
         replayed = LeakMonitor()
         replayed.feed_all(events)
@@ -1063,76 +963,33 @@ def _audit_live(config_slugs: list[str] | None, log_dir: str | None) -> int:
     )
     if directory is not None:
         print(f"event logs and metric snapshots written to {directory}/")
-    if mismatches:
-        print()
-        for mismatch in mismatches:
-            print(f"MISMATCH: {mismatch}", file=sys.stderr)
+    if _flagged("MISMATCH", mismatches):
         return 1
     print("streaming verdicts agree with the offline matrix "
           "(live and replayed) for every configuration")
     return 0
 
 
-def _audit(argv: list[str]) -> int:
-    live = False
-    config_slugs: list[str] | None = None
-    log_dir: str | None = None
-    log_path: str | None = None
-    metrics_jsonl: str | None = None
-    metrics_prom: str | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--live":
-            live = True
-        elif arg == "--configs" or arg.startswith("--configs="):
-            value = _flag_value(arg, args, "--configs")
-            config_slugs = [s for s in value.split(",") if s]
-        elif arg == "--log-dir" or arg.startswith("--log-dir="):
-            log_dir = _flag_value(arg, args, "--log-dir")
-        elif arg == "--metrics-jsonl" or arg.startswith("--metrics-jsonl="):
-            metrics_jsonl = _flag_value(arg, args, "--metrics-jsonl")
-        elif arg == "--metrics-prom" or arg.startswith("--metrics-prom="):
-            metrics_prom = _flag_value(arg, args, "--metrics-prom")
-        elif arg.startswith("--"):
-            raise UsageError(f"unknown audit argument {arg!r}")
-        elif log_path is None:
-            log_path = arg
-        else:
-            raise UsageError("audit takes at most one log path")
-
+def _audit(
+    live: bool,
+    configs: list[str] | None,
+    log_dir: str | None,
+    metrics_jsonl: str | None,
+    metrics_prom: str | None,
+    log_path: str | None,
+) -> int:
     if live:
         if log_path is not None:
             raise UsageError("--live runs a workload; it does not take a log path")
-        return _audit_live(config_slugs, log_dir)
+        return _audit_live(configs, log_dir)
     if log_path is None:
         raise UsageError("audit requires a log path (or --live)")
-    if config_slugs is not None or log_dir is not None:
+    if configs is not None or log_dir is not None:
         raise UsageError("--configs/--log-dir only apply to audit --live")
     return _audit_replay(log_path, metrics_jsonl, metrics_prom)
 
 
-def _resolve_explain_configs(config_slugs: list[str] | None) -> list:
-    from repro.observability.leakmon import CONFIG_SLUGS
-    from repro.robustness.campaign import default_campaign_configs
-
-    by_label = dict(default_campaign_configs())
-    if config_slugs is None:
-        config_slugs = list(CONFIG_SLUGS)
-    unknown = [slug for slug in config_slugs if slug not in CONFIG_SLUGS]
-    if unknown:
-        raise UsageError(
-            f"unknown configuration slug(s) {', '.join(sorted(unknown))}; "
-            f"available: {', '.join(CONFIG_SLUGS)}"
-        )
-    if not config_slugs:
-        raise UsageError(
-            f"no configurations selected; available: {', '.join(CONFIG_SLUGS)}"
-        )
-    return [(CONFIG_SLUGS[slug], by_label[CONFIG_SLUGS[slug]]) for slug in config_slugs]
-
-
-def _trace(argv: list[str]) -> int:
+def _trace(scenario: str, configs: list[str] | None, out: str | None) -> int:
     from repro.bench.explain import (
         EXPLAIN_SCENARIOS,
         explain_metadata,
@@ -1140,38 +997,19 @@ def _trace(argv: list[str]) -> int:
     )
     from repro.observability.traceexport import write_chrome_trace
 
-    scenario = "point_query"
-    out: str | None = None
-    config_slugs: list[str] | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--scenario" or arg.startswith("--scenario="):
-            scenario = _flag_value(arg, args, "--scenario")
-        elif arg == "--configs" or arg.startswith("--configs="):
-            value = _flag_value(arg, args, "--configs")
-            config_slugs = [s for s in value.split(",") if s]
-        elif arg == "--out" or arg.startswith("--out="):
-            out = _flag_value(arg, args, "--out")
-        else:
-            raise UsageError(f"unknown trace argument {arg!r}")
     if out is None:
         raise UsageError("trace requires --out PATH")
-    if scenario not in EXPLAIN_SCENARIOS:
-        raise UsageError(
-            f"unknown trace scenario {scenario!r}; "
-            f"available: {', '.join(EXPLAIN_SCENARIOS)}"
-        )
-    configs = _resolve_explain_configs(config_slugs)
+    _choice(scenario, EXPLAIN_SCENARIOS, "trace scenario")
+    config_items = _resolve_configs(configs)
 
     spans = []
-    for label, config in configs:
+    for label, config in config_items:
         result = trace_scenario(scenario, label, config)
         if result.skipped is not None:
             print(f"skipped {label}: {result.skipped}")
             continue
         spans.extend(result.spans)
-    metadata = explain_metadata(scenario, [label for label, _ in configs])
+    metadata = explain_metadata(scenario, [label for label, _ in config_items])
     path = write_chrome_trace(out, spans, metadata)
     print(
         f"{len(spans)} spans from scenario {scenario!r} written to {path} "
@@ -1180,39 +1018,23 @@ def _trace(argv: list[str]) -> int:
     return 0
 
 
-def _explain(argv: list[str]) -> int:
+def _explain(configs: list[str] | None, scenario: str | None) -> int:
     from repro.bench.explain import (
         EXPLAIN_SCENARIOS,
         render_explain_report,
         trace_scenario,
     )
 
-    scenario: str | None = None
-    config_slugs: list[str] | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--configs" or arg.startswith("--configs="):
-            value = _flag_value(arg, args, "--configs")
-            config_slugs = [s for s in value.split(",") if s]
-        elif arg.startswith("--"):
-            raise UsageError(f"unknown explain argument {arg!r}")
-        elif scenario is None:
-            scenario = arg
-        else:
-            raise UsageError("explain takes exactly one scenario")
     if scenario is None:
         raise UsageError(
             f"explain requires a scenario; available: {', '.join(EXPLAIN_SCENARIOS)}"
         )
-    if scenario not in EXPLAIN_SCENARIOS:
-        raise UsageError(
-            f"unknown explain scenario {scenario!r}; "
-            f"available: {', '.join(EXPLAIN_SCENARIOS)}"
-        )
-    configs = _resolve_explain_configs(config_slugs)
+    _choice(scenario, EXPLAIN_SCENARIOS, "explain scenario")
+    config_items = _resolve_configs(configs)
 
-    results = [trace_scenario(scenario, label, config) for label, config in configs]
+    results = [
+        trace_scenario(scenario, label, config) for label, config in config_items
+    ]
     print(render_explain_report(results), end="")
     mismatches = []
     for result in results:
@@ -1224,99 +1046,36 @@ def _explain(argv: list[str]) -> int:
                     f"measured {check['measured_cipher_calls']} != "
                     f"predicted {check['predicted_cipher_calls']}"
                 )
-    if mismatches:
-        print()
-        for mismatch in mismatches:
-            print(f"DIVERGENCE: {mismatch}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if _flagged("DIVERGENCE", mismatches) else 0
 
 
-def _monitor(argv: list[str]) -> int:
-    from repro.bench import load_report
+def _monitor(
+    scenario: str,
+    configs: Sequence[str],
+    quick: bool,
+    follow: bool,
+    out: str | None,
+    baseline: dict | None,
+    extra_rules: list | None,
+    prom_path: str | None,
+    jsonl_path: str | None,
+    inject: list[str],
+    limit: int | None,
+) -> int:
     from repro.observability.export import (
         render_prometheus_samples,
         render_series_jsonl,
         series_dropped_samples,
     )
-    from repro.observability.health import load_rules
     from repro.observability.monitor import (
-        INJECTIONS,
         monitor_scenarios,
         run_monitor,
         validate_health_report,
         write_health,
     )
 
-    scenario = "shard_rotation"
-    config_slugs: list[str] | None = ["aead-eax"]
-    quick = False
-    follow = False
-    out: str | None = None
-    baseline_path: str | None = None
-    rules_path: str | None = None
-    prom_path: str | None = None
-    jsonl_path: str | None = None
-    inject: list[str] = []
-    limit: int | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--scenario" or arg.startswith("--scenario="):
-            scenario = _flag_value(arg, args, "--scenario")
-        elif arg == "--configs" or arg.startswith("--configs="):
-            value = _flag_value(arg, args, "--configs")
-            config_slugs = [s for s in value.split(",") if s]
-        elif arg == "--quick":
-            quick = True
-        elif arg == "--follow":
-            follow = True
-        elif arg == "--out" or arg.startswith("--out="):
-            out = _flag_value(arg, args, "--out")
-        elif arg == "--baseline" or arg.startswith("--baseline="):
-            baseline_path = _flag_value(arg, args, "--baseline")
-        elif arg == "--rules" or arg.startswith("--rules="):
-            rules_path = _flag_value(arg, args, "--rules")
-        elif arg == "--prom" or arg.startswith("--prom="):
-            prom_path = _flag_value(arg, args, "--prom")
-        elif arg == "--jsonl" or arg.startswith("--jsonl="):
-            jsonl_path = _flag_value(arg, args, "--jsonl")
-        elif arg == "--inject" or arg.startswith("--inject="):
-            fault = _flag_value(arg, args, "--inject")
-            if fault not in INJECTIONS:
-                raise UsageError(
-                    f"unknown injection {fault!r}; "
-                    f"available: {', '.join(INJECTIONS)}"
-                )
-            inject.append(fault)
-        elif arg == "--limit" or arg.startswith("--limit="):
-            limit = _parse_int(_flag_value(arg, args, "--limit"), "--limit")
-        else:
-            raise UsageError(f"unknown monitor argument {arg!r}")
-    if scenario not in monitor_scenarios():
-        raise UsageError(
-            f"unknown scenario {scenario!r}; "
-            f"available: {', '.join(monitor_scenarios())}"
-        )
-    configs = _resolve_explain_configs(config_slugs)
-
-    baseline = None
-    if baseline_path is not None:
-        try:
-            baseline = load_report(baseline_path)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    extra_rules = None
-    if rules_path is not None:
-        import json as _json
-
-        try:
-            specs = _json.loads(Path(rules_path).read_text())
-            if not isinstance(specs, list):
-                raise ValueError("a rules file holds a JSON array of rule objects")
-            extra_rules = load_rules(specs)
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot load rules from {rules_path}: {exc}") from None
+    _choice(scenario, monitor_scenarios(), "scenario")
+    config_items = _resolve_configs(configs)
 
     def dashboard(tick, hub):
         # Pull-sampled series land on this tick; pushed gauges landed
@@ -1334,7 +1093,7 @@ def _monitor(argv: list[str]) -> int:
 
     doc = run_monitor(
         scenario=scenario,
-        config_items=configs,
+        config_items=config_items,
         quick=quick,
         baseline=baseline,
         extra_rules=extra_rules,
@@ -1342,10 +1101,7 @@ def _monitor(argv: list[str]) -> int:
         limit=limit,
         follow=dashboard if follow else None,
     )
-    problems = validate_health_report(doc)
-    if problems:
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
+    if _flagged("INVALID", validate_health_report(doc)):
         return 1
 
     if out is not None:
@@ -1394,7 +1150,22 @@ def _monitor(argv: list[str]) -> int:
     return 0
 
 
-def _forensics(argv: list[str]) -> int:
+def _forensics(
+    chaos: bool,
+    healthy: bool,
+    timeline: bool,
+    steps: int,
+    seed: int,
+    shards: int,
+    replicas: int,
+    no_flaky: bool,
+    configs: list[str] | None,
+    scenario: str,
+    inject: list[str],
+    limit: int | None,
+    out: str | None,
+    flight_path: str | None,
+) -> int:
     from repro.observability.flightrecorder import GATED_CLASSES
     from repro.observability.forensics import (
         build_timeline,
@@ -1405,68 +1176,6 @@ def _forensics(argv: list[str]) -> int:
         run_healthy_flight,
         scorecard_gate,
     )
-    from repro.observability.monitor import INJECTIONS
-
-    chaos = False
-    healthy = False
-    flight_path: str | None = None
-    show_timeline = False
-    steps = 24
-    seed = 0
-    shards = 2
-    replicas = 3
-    flaky = True
-    config_slugs: list[str] | None = None
-    scenario = "point_query"
-    inject: list[str] = []
-    limit: int | None = None
-    out: str | None = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg == "--chaos":
-            chaos = True
-        elif arg == "--healthy":
-            healthy = True
-        elif arg == "--scorecard":
-            pass  # the scorecard is always printed; kept for symmetry
-        elif arg == "--timeline":
-            show_timeline = True
-        elif arg == "--steps" or arg.startswith("--steps="):
-            steps = _parse_int(_flag_value(arg, args, "--steps"), "--steps")
-        elif arg == "--seed" or arg.startswith("--seed="):
-            seed = _parse_int(_flag_value(arg, args, "--seed"), "--seed")
-        elif arg == "--shards" or arg.startswith("--shards="):
-            shards = _parse_int(_flag_value(arg, args, "--shards"), "--shards")
-        elif arg == "--replicas" or arg.startswith("--replicas="):
-            replicas = _parse_int(
-                _flag_value(arg, args, "--replicas"), "--replicas"
-            )
-        elif arg == "--no-flaky":
-            flaky = False
-        elif arg == "--configs" or arg.startswith("--configs="):
-            value = _flag_value(arg, args, "--configs")
-            config_slugs = [s for s in value.split(",") if s]
-        elif arg == "--scenario" or arg.startswith("--scenario="):
-            scenario = _flag_value(arg, args, "--scenario")
-        elif arg == "--inject" or arg.startswith("--inject="):
-            fault = _flag_value(arg, args, "--inject")
-            if fault not in INJECTIONS:
-                raise UsageError(
-                    f"unknown injection {fault!r}; "
-                    f"available: {', '.join(INJECTIONS)}"
-                )
-            inject.append(fault)
-        elif arg == "--limit" or arg.startswith("--limit="):
-            limit = _parse_int(_flag_value(arg, args, "--limit"), "--limit")
-        elif arg == "--out" or arg.startswith("--out="):
-            out = _flag_value(arg, args, "--out")
-        elif arg.startswith("--"):
-            raise UsageError(f"unknown forensics argument {arg!r}")
-        elif flight_path is None:
-            flight_path = arg
-        else:
-            raise UsageError("forensics takes at most one FLIGHT.json path")
 
     modes = sum([chaos, healthy, flight_path is not None])
     if modes != 1:
@@ -1474,21 +1183,11 @@ def _forensics(argv: list[str]) -> int:
             "forensics requires exactly one of: a FLIGHT.json path, "
             "--chaos, or --healthy"
         )
-    if steps < 1:
-        raise UsageError("--steps must be at least 1")
-    if shards < 1:
-        raise UsageError("--shards must be at least 1")
-    if replicas < 2:
-        raise UsageError("--replicas must be at least 2")
 
     if healthy:
         from repro.observability.monitor import monitor_scenarios
 
-        if scenario not in monitor_scenarios():
-            raise UsageError(
-                f"unknown scenario {scenario!r}; "
-                f"available: {', '.join(monitor_scenarios())}"
-            )
+        _choice(scenario, monitor_scenarios(), "scenario")
         health, doc, incidents = run_healthy_flight(
             scenario=scenario,
             inject=tuple(inject),
@@ -1501,56 +1200,32 @@ def _forensics(argv: list[str]) -> int:
         )
         if out is not None:
             print(f"flight document written to {out}")
-        if show_timeline:
+        if timeline:
             print(render_timeline(build_timeline(doc)))
-        if incidents:
-            print()
-            for incident in incidents:
-                print(f"INCIDENT: {incident}", file=sys.stderr)
+        if _flagged("INCIDENT", incidents):
             return 1
         print("no incidents: zero alerts, zero typed errors, "
               "zero false positives")
         return 0
 
     if chaos:
-        configs = None
-        if config_slugs is not None:
-            from repro.observability.leakmon import CONFIG_SLUGS
-            from repro.robustness.campaign import default_campaign_configs
-
-            unknown = [s for s in config_slugs if s not in CONFIG_SLUGS]
-            if unknown or not config_slugs:
-                raise UsageError(
-                    f"unknown or empty configuration slug(s); "
-                    f"available: {', '.join(CONFIG_SLUGS)}"
-                )
-            by_label = dict(default_campaign_configs())
-            configs = [
-                (CONFIG_SLUGS[s], by_label[CONFIG_SLUGS[s]])
-                for s in config_slugs
-            ]
         campaign, doc, scorecard = run_chaos_flight(
             steps=steps,
             seed=seed,
-            configs=configs,
+            configs=_resolve_configs(configs),
             shard_count=shards,
             replicas=replicas,
-            flaky=flaky,
+            flaky=not no_flaky,
             out=out,
         )
         print(render_scorecard(scorecard))
         if out is not None:
             print(f"flight document written to {out}")
-        if show_timeline:
+        if timeline:
             print(render_timeline(build_timeline(doc)))
-        problems = []
-        if not campaign.ok:
-            problems.extend(campaign.violations)
-        problems.extend(scorecard_gate(scorecard, require=GATED_CLASSES))
-        if problems:
-            print()
-            for problem in problems:
-                print(f"GATE FAILED: {problem}", file=sys.stderr)
+        problems = campaign.violations
+        problems += scorecard_gate(scorecard, require=GATED_CLASSES)
+        if _flagged("GATE FAILED", problems):
             return 1
         print(
             "detection gate: every gated class (tamper, rollback, "
@@ -1565,16 +1240,139 @@ def _forensics(argv: list[str]) -> int:
     print(f"graded {flight_path}: {len(doc['records'])} record(s), "
           f"reason {doc['reason']!r}")
     print(render_scorecard(scorecard))
-    if show_timeline:
+    if timeline:
         print(render_timeline(build_timeline(doc)))
-    problems = scorecard_gate(scorecard)
-    if problems:
-        print()
-        for problem in problems:
-            print(f"GATE FAILED: {problem}", file=sys.stderr)
+    if _flagged("GATE FAILED", scorecard_gate(scorecard)):
         return 1
     print("scorecard gate: OK")
     return 0
+
+
+_CONFIGS = Flag("--configs", _comma_list)
+_OUT = Flag("--out", _text)
+_INJECT = Flag("--inject", _injection, many=True)
+_LIMIT = Flag("--limit", _parse_int, minimum=1)
+
+
+def _chaos_flags(steps: int) -> tuple[Flag, ...]:
+    """The chaos-schedule flags ``chaoscampaign`` and ``forensics --chaos``
+    share; each command keeps its own default step count."""
+    return (
+        Flag("--steps", _parse_int, steps, minimum=1),
+        Flag("--seed", _parse_int, 0),
+        Flag("--shards", _parse_int, 2, minimum=1),
+        Flag("--replicas", _parse_int, 3, minimum=2),
+        Flag("--no-flaky"),
+        _CONFIGS,
+    )
+
+
+#: The keyspace flags ``scrub`` and ``rotate`` share.  ``--old-key`` and
+#: ``--old-seed`` fill one chain, oldest first, in command-line order.
+_KEYSPACE_FLAGS = (
+    Flag("--old-key", _parse_key, many=True, dest="old_masters"),
+    Flag("--old-seed", _seed_key, many=True, dest="old_masters"),
+    Flag("--shards", _parse_int, 2, minimum=1),
+    Flag("--config", _text, "aead-eax", dest="slug"),
+)
+
+COMMANDS: dict[str, Command] = {
+    "demo": Command(_demo),
+    "attacks": Command(_attacks),
+    "overhead": Command(_overhead),
+    "collisions": Command(
+        _collisions,
+        arg=Flag("collisions trial count", _parse_int, 1024, minimum=1,
+                 dest="trials"),
+        too_many="collisions takes at most one argument (trial count)",
+    ),
+    "faultcampaign": Command(
+        _faultcampaign, (Flag("--seeds", _parse_int, 25, minimum=1),)
+    ),
+    "crashcampaign": Command(_crashcampaign, (
+        Flag("--rows", _parse_int, 5, minimum=1),
+        _LIMIT,
+        _CONFIGS,
+        Flag("--modes", _comma_list),
+        Flag("--phases", _comma_list),
+    )),
+    "chaoscampaign": Command(_chaoscampaign, _chaos_flags(steps=60)),
+    "scrub": Command(_scrub, (
+        Flag("--replica", _text, many=True, dest="replicas"),
+        *_KEYSPACE_FLAGS,
+        Flag("--no-repair"),
+        Flag("--demo"),
+        Flag("--inject-fault", _text, dest="inject"),
+    )),
+    "rotate": Command(_rotate, (
+        Flag("--dir", _text, dest="directory"),
+        *_KEYSPACE_FLAGS,
+        Flag("--new-key", _parse_key, many=True, dest="new_masters"),
+        Flag("--new-seed", _seed_key, many=True, dest="new_masters"),
+        Flag("--shard", _text, dest="shard_id"),
+    )),
+    "bench": Command(_bench, (
+        Flag("--quick"),
+        Flag("--force"),
+        Flag("--scenarios", _comma_list),
+        _OUT,
+        Flag("--baseline", _bench_report),
+        Flag("--threshold", _parse_float, minimum=0),
+        Flag("--delta-out", _text),
+    )),
+    "backendparity": Command(_backendparity, (_OUT,)),
+    "audit": Command(
+        _audit,
+        (
+            Flag("--live"),
+            _CONFIGS,
+            Flag("--log-dir", _text),
+            Flag("--metrics-jsonl", _text),
+            Flag("--metrics-prom", _text),
+        ),
+        arg=Flag("log path", _text, dest="log_path"),
+        too_many="audit takes at most one log path",
+    ),
+    "trace": Command(_trace, (
+        Flag("--scenario", _text, "point_query"),
+        _CONFIGS,
+        _OUT,
+    )),
+    "explain": Command(
+        _explain,
+        (_CONFIGS,),
+        arg=Flag("scenario", _text),
+        too_many="explain takes exactly one scenario",
+    ),
+    "monitor": Command(_monitor, (
+        Flag("--scenario", _text, "shard_rotation"),
+        Flag("--configs", _comma_list, ("aead-eax",)),
+        Flag("--quick"),
+        Flag("--follow"),
+        _OUT,
+        Flag("--baseline", _bench_report),
+        Flag("--rules", _health_rules, dest="extra_rules"),
+        Flag("--prom", _text, dest="prom_path"),
+        Flag("--jsonl", _text, dest="jsonl_path"),
+        _INJECT,
+        _LIMIT,
+    )),
+    "forensics": Command(
+        _forensics,
+        (
+            Flag("--chaos"),
+            Flag("--healthy"),
+            Flag("--timeline"),
+            *_chaos_flags(steps=24),
+            Flag("--scenario", _text, "point_query"),
+            _INJECT,
+            _LIMIT,
+            _OUT,
+        ),
+        arg=Flag("FLIGHT.json path", _text, dest="flight_path"),
+        too_many="forensics takes at most one FLIGHT.json path",
+    ),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1582,47 +1380,18 @@ def main(argv: list[str] | None = None) -> int:
     if not argv:
         print(__doc__)
         return 2
-    command, *rest = argv
+    name, *rest = argv
+    command = COMMANDS.get(name)
+    if command is None:
+        print(f"unknown command {name!r}\n", file=sys.stderr)
+        print(__doc__)
+        return 2
     try:
-        if command == "demo":
-            return _demo(rest)
-        if command == "attacks":
-            return _attacks(rest)
-        if command == "overhead":
-            return _overhead(rest)
-        if command == "collisions":
-            return _collisions(rest)
-        if command == "faultcampaign":
-            return _faultcampaign(rest)
-        if command == "crashcampaign":
-            return _crashcampaign(rest)
-        if command == "chaoscampaign":
-            return _chaoscampaign(rest)
-        if command == "scrub":
-            return _scrub(rest)
-        if command == "rotate":
-            return _rotate(rest)
-        if command == "bench":
-            return _bench(rest)
-        if command == "backendparity":
-            return _backendparity(rest)
-        if command == "audit":
-            return _audit(rest)
-        if command == "trace":
-            return _trace(rest)
-        if command == "explain":
-            return _explain(rest)
-        if command == "monitor":
-            return _monitor(rest)
-        if command == "forensics":
-            return _forensics(rest)
+        return command.run(**_parse(name, command, rest))
     except UsageError as exc:
         print(f"error: {exc}\n", file=sys.stderr)
         print(__doc__)
         return 2
-    print(f"unknown command {command!r}\n", file=sys.stderr)
-    print(__doc__)
-    return 2
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ historical artifacts.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import re
 import sys
@@ -197,8 +198,12 @@ def compare_reports(
     slowdown) and only judged when both reports ran the same size
     profile — quick-vs-full timings are not comparable.  Cipher counts
     are deterministic per profile, so under matching profiles *any*
-    increase is a regression.
+    increase is a regression.  A NaN ``wall_threshold`` raises
+    :class:`ValueError`: no slowdown compares greater than it, so it
+    would silently pass every wall-time regression.
     """
+    if math.isnan(wall_threshold):
+        raise ValueError("wall_threshold must not be NaN")
     profiles_match = baseline.get("quick") == current.get("quick")
 
     def keyed(report: dict) -> dict:

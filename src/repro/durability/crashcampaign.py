@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sharding.campaign import RotationCampaignResult
+    from repro.sharding.campaign import ConfigRotationResult, RotationCampaignResult
 
 from repro.core.encrypted_db import EncryptedDatabase, EncryptionConfig
 from repro.engine.database import Database
@@ -169,12 +169,12 @@ def _logical_state(db: Database, include_indexes: bool) -> dict:
 
 @dataclass
 class _Boundary:
-    """Oracle entry: after step ``label``, ``ops`` boundaries have run
-    and a remount of the surviving bytes dumps exactly ``dump``."""
+    """Oracle entry: after step ``label``, ``ops`` write boundaries have
+    run and a remount of the surviving bytes recovers exactly ``state``."""
 
     label: str
     ops: int
-    dump: bytes
+    state: Any
 
 
 @dataclass
@@ -249,41 +249,106 @@ class CrashCampaignResult:
         return matrix
 
 
-def _reference_run(
-    config: EncryptionConfig,
-    master_key: bytes,
-    rows: int,
-    result: ConfigCrashResult,
-) -> tuple[list[_Boundary], bytes, list[str]]:
-    """Run the workload crash-free, building the oracle dumps."""
-    include_indexes = _round_trips(config, master_key)
-    disk = CrashDisk(MemoryDisk())
-    boundaries: list[_Boundary] = []
-
-    def snapshot(label: str, manager: DurableDatabase) -> None:
-        recovered = _mount(disk.survivor(), config, master_key)
-        dump = dump_database(recovered.database)
-        live_state = _logical_state(manager.database, include_indexes)
-        recovered_state = _logical_state(recovered.database, include_indexes)
-        if live_state != recovered_state:
-            result.violations.append(
-                f"{result.config}: recovery after step {label!r} lost or "
-                f"changed committed content"
-            )
-        boundaries.append(_Boundary(label, disk.op_count, dump))
-
-    manager = _mount(disk, config, master_key)
-    snapshot("mounted", manager)
-    _run_workload(manager, rows, on_step=lambda label: snapshot(label, manager))
-    return boundaries, dump_database(Database()), list(disk.op_log)
-
-
 def _crash_points(total: int, limit: int | None) -> list[int]:
     if limit is None or total <= limit:
         return list(range(total))
     if limit <= 1:
         return [0]
     return sorted({round(i * (total - 1) / (limit - 1)) for i in range(limit)})
+
+
+def _sweep_boundaries(
+    result: ConfigCrashResult | ConfigRotationResult,
+    boundaries: list[_Boundary],
+    op_log: list[str],
+    first: int,
+    limit: int | None,
+    modes: tuple[str, ...],
+    replay: Callable[[VirtualDisk], None],
+    recover: Callable[[VirtualDisk, int, str], Any],
+    on_recovered: Callable[[int, str], None] | None = None,
+) -> None:
+    """Power-cut write boundaries ``first`` onwards (every one, or
+    ``limit`` evenly spaced) under each crash mode, and require each
+    recovery to land on exactly the oracle state just before or just
+    after the cut.
+
+    ``boundaries`` are the reference run's snapshots in op order, the
+    first at or before ``first``.  ``replay(disk)`` reruns the workload
+    on a fresh disk until the planned cut raises;
+    ``recover(survivor, op_index, mode)`` remounts the surviving bytes
+    and returns the state to compare.  ``on_recovered(op_index, mode)``
+    runs after each trial that recovered to either side."""
+    label = result.config
+    cutoffs = [boundary.ops for boundary in boundaries]
+    for offset in _crash_points(len(op_log) - first, limit):
+        op_index = first + offset
+        for mode in modes:
+            if mode == "torn" and op_log[op_index] not in BYTE_OPS:
+                continue  # tears identically to "cut" on payload-free ops
+            disk = CrashDisk(MemoryDisk(), CrashPlan(op_index, mode))
+            try:
+                replay(disk)
+            except PowerCutError:
+                pass
+            else:
+                result.violations.append(
+                    f"{label}: planned crash at boundary {op_index} "
+                    f"({mode}) never fired"
+                )
+                continue
+            result.trials += 1
+            try:
+                state = recover(disk.survivor(), op_index, mode)
+            except Exception as exc:
+                result.violations.append(
+                    f"{label}: recovery raised after crash at boundary "
+                    f"{op_index} ({mode}): {type(exc).__name__}: {exc}"
+                )
+                continue
+            # Boundary op_index interrupts the step *after* the last
+            # oracle entry whose op count is <= op_index.
+            pre_index = bisect_right(cutoffs, op_index) - 1
+            pre = boundaries[pre_index]
+            post = boundaries[min(pre_index + 1, len(boundaries) - 1)]
+            if state == post.state:
+                result.recovered_post += 1
+            elif state == pre.state:
+                result.recovered_pre += 1
+            else:
+                result.violations.append(
+                    f"{label}: crash at boundary {op_index} ({mode}, "
+                    f"{op_log[op_index]}) recovered to a hybrid state — "
+                    f"neither pre nor post {pre.label!r}"
+                )
+                continue
+            if on_recovered is not None:
+                on_recovered(op_index, mode)
+
+
+def _final_state(replay: Callable[[VirtualDisk], None]) -> dict[str, bytes]:
+    disk = MemoryDisk()
+    replay(disk)
+    return disk.durable_state()
+
+
+def _audit_neutrality_check(
+    result: ConfigCrashResult | ConfigRotationResult,
+    replay: Callable[[VirtualDisk], None],
+) -> None:
+    """The workload must store the same bytes with ``AUDIT`` off and on."""
+    was_enabled = AUDIT.enabled
+    try:
+        AUDIT.disable()
+        quiet = _final_state(replay)
+        AUDIT.enable()
+        audited = _final_state(replay)
+    finally:
+        AUDIT.enabled = was_enabled
+    if quiet != audited:
+        result.violations.append(
+            f"{result.config}: enabling audit hooks changed the stored bytes"
+        )
 
 
 def _sweep_config(
@@ -295,104 +360,54 @@ def _sweep_config(
     modes: tuple[str, ...],
 ) -> ConfigCrashResult:
     result = ConfigCrashResult(config=label)
-    boundaries, empty_dump, op_log = _reference_run(
-        config, master_key, rows, result
-    )
-    result.boundaries = len(op_log)
-    cutoffs = [boundary.ops for boundary in boundaries]
+    include_indexes = _round_trips(config, master_key)
 
-    for op_index in _crash_points(len(op_log), limit):
-        for mode in modes:
-            if mode == "torn" and op_log[op_index] not in BYTE_OPS:
-                continue  # tears identically to "cut" on payload-free ops
-            disk = CrashDisk(MemoryDisk(), CrashPlan(op_index, mode))
-            crashed = False
-            try:
-                manager = _mount(disk, config, master_key)
-                _run_workload(manager, rows)
-            except PowerCutError:
-                crashed = True
-            if not crashed:
-                result.violations.append(
-                    f"{label}: planned crash at boundary {op_index} "
-                    f"({mode}) never fired"
-                )
-                continue
-            result.trials += 1
-            try:
-                recovered = _mount(disk.survivor(), config, master_key)
-            except Exception as exc:
-                result.violations.append(
-                    f"{label}: recovery raised after crash at boundary "
-                    f"{op_index} ({mode}): {type(exc).__name__}: {exc}"
-                )
-                continue
-            if recovered.recovery.resilient is not None:
-                result.resilient_fallbacks += 1
-            if recovered.recovery.truncated_reason is not None:
-                result.wal_truncations += 1
-            dump = dump_database(recovered.database)
-            # Boundary op_index interrupts the logical step *after* the
-            # last oracle entry whose op count is <= op_index.
-            pre_index = bisect_right(cutoffs, op_index) - 1
-            pre = boundaries[pre_index].dump if pre_index >= 0 else empty_dump
-            post = (
-                boundaries[pre_index + 1].dump
-                if pre_index + 1 < len(boundaries)
-                else pre
+    # The reference run: the workload crash-free, snapshotting the
+    # recovered dump after every step.  A cut before the mount's first
+    # write leaves an empty disk.
+    reference = CrashDisk(MemoryDisk())
+    boundaries = [_Boundary("empty disk", 0, dump_database(Database()))]
+
+    def snapshot(step: str, manager: DurableDatabase) -> None:
+        recovered = _mount(reference.survivor(), config, master_key)
+        dump = dump_database(recovered.database)
+        live_state = _logical_state(manager.database, include_indexes)
+        recovered_state = _logical_state(recovered.database, include_indexes)
+        if live_state != recovered_state:
+            result.violations.append(
+                f"{label}: recovery after step {step!r} lost or "
+                f"changed committed content"
             )
-            if dump == post:
-                result.recovered_post += 1
-            elif dump == pre:
-                result.recovered_pre += 1
-            else:
-                result.violations.append(
-                    f"{label}: crash at boundary {op_index} ({mode}, "
-                    f"{op_log[op_index]}) recovered to a hybrid state — "
-                    f"neither pre nor post "
-                    f"{boundaries[max(pre_index, 0)].label!r}"
-                )
+        boundaries.append(_Boundary(step, reference.op_count, dump))
+
+    manager = _mount(reference, config, master_key)
+    snapshot("mounted", manager)
+    _run_workload(manager, rows, on_step=lambda step: snapshot(step, manager))
+    op_log = list(reference.op_log)
+    result.boundaries = len(op_log)
+
+    def replay(disk: VirtualDisk) -> None:
+        _run_workload(_mount(disk, config, master_key), rows)
+
+    def recover(survivor: VirtualDisk, op_index: int, mode: str) -> bytes:
+        recovered = _mount(survivor, config, master_key)
+        if recovered.recovery.resilient is not None:
+            result.resilient_fallbacks += 1
+        if recovered.recovery.truncated_reason is not None:
+            result.wal_truncations += 1
+        return dump_database(recovered.database)
+
+    _sweep_boundaries(result, boundaries, op_log, 0, limit, modes, replay, recover)
+    _audit_neutrality_check(result, replay)
+    _flaky_retry_check(result, replay)
     return result
 
 
-def _final_disk(
-    config: EncryptionConfig, master_key: bytes, rows: int
-) -> dict[str, bytes]:
-    disk = MemoryDisk()
-    manager = _mount(disk, config, master_key)
-    _run_workload(manager, rows)
-    return disk.durable_state()
-
-
-def _audit_neutrality_check(
-    label: str,
-    config: EncryptionConfig,
-    master_key: bytes,
-    rows: int,
-    result: ConfigCrashResult,
-) -> None:
-    was_enabled = AUDIT.enabled
-    try:
-        AUDIT.disable()
-        quiet = _final_disk(config, master_key, rows)
-        AUDIT.enable()
-        audited = _final_disk(config, master_key, rows)
-    finally:
-        AUDIT.enabled = was_enabled
-    if quiet != audited:
-        result.violations.append(
-            f"{label}: enabling audit hooks changed the stored bytes"
-        )
-
-
 def _flaky_retry_check(
-    label: str,
-    config: EncryptionConfig,
-    master_key: bytes,
-    rows: int,
-    result: ConfigCrashResult,
+    result: ConfigCrashResult, replay: Callable[[VirtualDisk], None]
 ) -> None:
-    reference = _final_disk(config, master_key, rows)
+    label = result.config
+    reference = _final_state(replay)
     inner = MemoryDisk()
     flaky = FlakyDisk(
         inner, DeterministicRandom(b"crash-flaky-disk").fork(label), fail_rate=0.25
@@ -400,8 +415,7 @@ def _flaky_retry_check(
     policy = RetryPolicy(
         deadline=60.0, rng=DeterministicRandom(b"crash-retry-policy")
     )
-    manager = _mount(RetryingDisk(flaky, policy), config, master_key)
-    _run_workload(manager, rows)
+    replay(RetryingDisk(flaky, policy))
     result.flaky_failures_retried = flaky.failures_injected
     if flaky.failures_injected == 0:
         result.violations.append(
@@ -441,10 +455,9 @@ def run_crash_campaign(
     )
     if "mutation" in phases:
         for label, config in configs:
-            result = _sweep_config(label, config, master_key, rows, limit, modes)
-            _audit_neutrality_check(label, config, master_key, rows, result)
-            _flaky_retry_check(label, config, master_key, rows, result)
-            campaign.per_config.append(result)
+            campaign.per_config.append(
+                _sweep_config(label, config, master_key, rows, limit, modes)
+            )
     if "rotation" in phases:
         # Imported lazily: the rotation campaign builds on this module.
         from repro.sharding.campaign import run_rotation_campaign

@@ -28,17 +28,6 @@ def format_detection_matrix(
     return format_table(["configuration", *columns], rows, caption=caption)
 
 
-def format_violations(violations: Sequence[str], limit: int = 20) -> str:
-    """The failure tail of a campaign report: every violation on its own
-    line, truncated past ``limit`` with an elision count."""
-    if not violations:
-        return ""
-    lines = [f"  - {violation}" for violation in violations[:limit]]
-    if len(violations) > limit:
-        lines.append(f"  ... and {len(violations) - limit} more")
-    return "\n".join([f"{len(violations)} violation(s):", *lines])
-
-
 def sweep_caption(kind: str, detail: str, limit: int | None = None) -> str:
     """The shared caption shape: ``<kind> (<detail>, <limit> ...)``."""
     bound = "exhaustive" if limit is None else f"limit {limit}"

@@ -4,8 +4,9 @@ The rotation protocol of :mod:`repro.sharding.rotation` claims one
 invariant — **epoch atomicity**: however the power dies mid-rotation, a
 remount recovers every shard to exactly the old or the new key epoch,
 never a mixture, with the cross-shard manifest verifying throughout.
-This module makes the claim exhaustively checkable, mirroring the
-mutation campaign of :mod:`repro.durability.crashcampaign`:
+This module makes the claim exhaustively checkable with the
+boundary-sweep core it shares with the mutation campaign of
+:mod:`repro.durability.crashcampaign`:
 
 1. seed a keyspace and rotate it once crash-free on a pass-through
    :class:`~repro.durability.vdisk.CrashDisk` (every shard's blobs and
@@ -37,15 +38,12 @@ leaves byte-identical disks with ``AUDIT`` enabled and disabled
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.encrypted_db import EncryptionConfig
 from repro.core.keys import KeyChain
 from repro.engine.storage import dump_database
-from repro.errors import PowerCutError
-from repro.observability.audit import AUDIT
 from repro.observability.flightrecorder import RECORDER
 from repro.observability.timeseries import HUB
 from repro.robustness.campaign import default_campaign_configs
@@ -54,12 +52,14 @@ from repro.robustness.reporting import format_detection_matrix, sweep_caption
 from repro.durability.crashcampaign import (
     _CRASH_MASTER_KEY,
     _SCHEMA,
-    _crash_points,
+    _audit_neutrality_check,
+    _Boundary,
     _round_trips,
     _row_values,
+    _sweep_boundaries,
     CRASH_MODES,
 )
-from repro.durability.vdisk import BYTE_OPS, CrashDisk, CrashPlan, MemoryDisk
+from repro.durability.vdisk import CrashDisk, MemoryDisk, VirtualDisk
 from repro.sharding.keyspace import ShardedKeyspace
 
 _ROTATED_MASTER_KEY = b"crashcampaign-rotated-key-765432"
@@ -108,16 +108,6 @@ def _recovered_state(
     if include_queries:
         state["queries"] = _query_answers(keyspace, rows)
     return state, keyspace
-
-
-@dataclass
-class _RotationBoundary:
-    """Oracle entry: at ``ops`` boundaries a survivor remount recovers
-    exactly ``state`` (captured just after protocol phase ``label``)."""
-
-    label: str
-    ops: int
-    state: dict[str, Any]
 
 
 @dataclass
@@ -182,30 +172,36 @@ class RotationCampaignResult:
         )
 
 
+def _open_keyspace(
+    disk: VirtualDisk, config: EncryptionConfig, shard_count: int
+) -> ShardedKeyspace:
+    return ShardedKeyspace.open(
+        disk, KeyChain.single(_CRASH_MASTER_KEY), config,
+        shard_count=shard_count, workers=1,
+    )
+
+
 def _reference_rotation(
     label: str,
     config: EncryptionConfig,
     rows: int,
     shard_count: int,
     result: ConfigRotationResult,
-) -> tuple[list[_RotationBoundary], list[str]]:
+) -> tuple[list[_Boundary], list[str]]:
     """Seed + rotate crash-free, snapshotting every phase boundary."""
     include_queries = _round_trips(config, _CRASH_MASTER_KEY)
     full_chain = KeyChain([_CRASH_MASTER_KEY, _ROTATED_MASTER_KEY])
     disk = CrashDisk(MemoryDisk())
-    keyspace = ShardedKeyspace.open(
-        disk, KeyChain.single(_CRASH_MASTER_KEY), config,
-        shard_count=shard_count, workers=1,
-    )
+    keyspace = _open_keyspace(disk, config, shard_count)
     _seed_keyspace(keyspace, rows)
     baseline = _query_answers(keyspace, rows) if include_queries else None
-    snapshots: list[_RotationBoundary] = []
+    snapshots: list[_Boundary] = []
 
     def snapshot(phase_label: str, check_live: bool) -> None:
         state, _ = _recovered_state(
             disk.survivor(), full_chain, config, rows, include_queries
         )
-        snapshots.append(_RotationBoundary(phase_label, disk.op_count, state))
+        snapshots.append(_Boundary(phase_label, disk.op_count, state))
         if include_queries and check_live:
             if _query_answers(keyspace, rows) != baseline:
                 result.violations.append(
@@ -237,121 +233,45 @@ def _sweep_rotation(
     )
     start = snapshots[0].ops  # ops before this index belong to seeding
     result.rotation_boundaries = len(op_log) - start
-    cutoffs = [boundary.ops for boundary in snapshots]
 
-    for offset in _crash_points(result.rotation_boundaries, limit):
-        op_index = start + offset
-        for mode in modes:
-            if mode == "torn" and op_log[op_index] not in BYTE_OPS:
-                continue  # tears identically to "cut" on payload-free ops
-            disk = CrashDisk(MemoryDisk(), CrashPlan(op_index, mode))
-            crashed = False
-            try:
-                keyspace = ShardedKeyspace.open(
-                    disk, KeyChain.single(_CRASH_MASTER_KEY), config,
-                    shard_count=shard_count, workers=1,
-                )
-                _seed_keyspace(keyspace, rows)
-                keyspace.rotate(_ROTATED_MASTER_KEY)
-            except PowerCutError:
-                crashed = True
-            if not crashed:
-                result.violations.append(
-                    f"{label}: planned crash at rotation boundary {op_index} "
-                    f"({mode}) never fired"
-                )
-                continue
-            result.trials += 1
-            RECORDER.tick()
-            RECORDER.record_injection(
-                "crash", config=label, mode=mode, op_index=op_index
-            )
-            try:
-                state, recovered = _recovered_state(
-                    disk.survivor(), full_chain, config, rows, include_queries
-                )
-            except Exception as exc:
-                result.violations.append(
-                    f"{label}: recovery raised after crash at rotation "
-                    f"boundary {op_index} ({mode}): {type(exc).__name__}: {exc}"
-                )
-                continue
-            epochs = [shard.epoch for shard in recovered.shards]
-            if any(epoch not in (0, 1) for epoch in epochs):
-                result.violations.append(
-                    f"{label}: crash at boundary {op_index} ({mode}) "
-                    f"recovered shard epochs {epochs} outside the chain"
-                )
-            result.rollbacks += sum(
-                1 for s in recovered.shards if s.resolution.rolled_back
-            )
-            result.rollforwards += sum(
-                1 for s in recovered.shards if s.resolution.rolled_forward
-            )
-            # Boundary op_index interrupts the protocol phase *after* the
-            # last snapshot whose op count is <= op_index.
-            pre_index = bisect_right(cutoffs, op_index) - 1
-            pre = snapshots[pre_index].state
-            post = (
-                snapshots[pre_index + 1].state
-                if pre_index + 1 < len(snapshots)
-                else pre
-            )
-            if state == post:
-                result.recovered_post += 1
-                RECORDER.record_detection(
-                    "crash", config=label, mode=mode, op_index=op_index,
-                    via="rotation-recovery",
-                )
-            elif state == pre:
-                result.recovered_pre += 1
-                RECORDER.record_detection(
-                    "crash", config=label, mode=mode, op_index=op_index,
-                    via="rotation-recovery",
-                )
-            else:
-                result.violations.append(
-                    f"{label}: crash at rotation boundary {op_index} ({mode}, "
-                    f"{op_log[op_index]}, after phase "
-                    f"{snapshots[pre_index].label!r}) recovered to a state "
-                    f"matching neither side — shard epochs {epochs}, "
-                    f"manifest {state['manifest']}"
-                )
-    return result
+    def replay(disk: VirtualDisk) -> None:
+        keyspace = _open_keyspace(disk, config, shard_count)
+        _seed_keyspace(keyspace, rows)
+        keyspace.rotate(_ROTATED_MASTER_KEY)
 
-
-def _final_rotated_disk(
-    config: EncryptionConfig, rows: int, shard_count: int
-) -> dict[str, bytes]:
-    disk = MemoryDisk()
-    keyspace = ShardedKeyspace.open(
-        disk, KeyChain.single(_CRASH_MASTER_KEY), config,
-        shard_count=shard_count, workers=1,
-    )
-    _seed_keyspace(keyspace, rows)
-    keyspace.rotate(_ROTATED_MASTER_KEY)
-    return disk.durable_state()
-
-
-def _audit_neutrality_check(
-    label: str,
-    config: EncryptionConfig,
-    rows: int,
-    shard_count: int,
-    result: ConfigRotationResult,
-) -> None:
-    was_enabled = AUDIT.enabled
-    try:
-        AUDIT.disable()
-        quiet = _final_rotated_disk(config, rows, shard_count)
-        AUDIT.enable()
-        audited = _final_rotated_disk(config, rows, shard_count)
-    finally:
-        AUDIT.enabled = was_enabled
-    if quiet != audited:
-        result.violations.append(
-            f"{label}: enabling audit hooks changed the rotated bytes"
+    def recover(survivor: VirtualDisk, op_index: int, mode: str) -> dict:
+        RECORDER.tick()
+        RECORDER.record_injection(
+            "crash", config=label, mode=mode, op_index=op_index
         )
+        state, recovered = _recovered_state(
+            survivor, full_chain, config, rows, include_queries
+        )
+        epochs = [shard.epoch for shard in recovered.shards]
+        if any(epoch not in (0, 1) for epoch in epochs):
+            result.violations.append(
+                f"{label}: crash at boundary {op_index} ({mode}) "
+                f"recovered shard epochs {epochs} outside the chain"
+            )
+        result.rollbacks += sum(
+            1 for s in recovered.shards if s.resolution.rolled_back
+        )
+        result.rollforwards += sum(
+            1 for s in recovered.shards if s.resolution.rolled_forward
+        )
+        return state
+
+    def detected(op_index: int, mode: str) -> None:
+        RECORDER.record_detection(
+            "crash", config=label, mode=mode, op_index=op_index,
+            via="rotation-recovery",
+        )
+
+    _sweep_boundaries(
+        result, snapshots, op_log, start, limit, modes, replay, recover, detected
+    )
+    _audit_neutrality_check(result, replay)
+    return result
 
 
 def run_rotation_campaign(
@@ -374,7 +294,6 @@ def run_rotation_campaign(
     )
     for label, config in configs:
         result = _sweep_rotation(label, config, rows, shard_count, limit, modes)
-        _audit_neutrality_check(label, config, rows, shard_count, result)
         campaign.per_config.append(result)
         if HUB.enabled:
             labels = {"config": label}

@@ -61,6 +61,14 @@ def test_wall_regression_past_threshold_fails():
     assert compare_reports(baseline, current, wall_threshold=0.6)["ok"]
 
 
+
+def test_nan_threshold_is_rejected():
+    # NaN compares false against every ratio: it would pass any slowdown.
+    baseline = _report([_entry(wall=1.0)])
+    current = _report([_entry(wall=50.0)])
+    with pytest.raises(ValueError, match="NaN"):
+        compare_reports(baseline, current, wall_threshold=float("nan"))
+
 def test_cipher_count_growth_always_fails():
     baseline = _report([_entry(cipher=100)])
     current = _report([_entry(cipher=101)])

@@ -77,3 +77,30 @@ def test_rotation_phase_rides_along():
     assert result.ok
     matrix = result.format_matrix()
     assert "key-rotation crash campaign" in matrix
+
+
+def test_bounded_eax_mutation_sweep_is_pinned():
+    # Exact counters and matrix of a bounded EAX sweep: a change to crash
+    # point selection, the torn-write skip or the pre/post oracle shows here.
+    result = run_crash_campaign(
+        rows=2, limit=12,
+        configs=[("fixed AEAD (EAX)", EncryptionConfig.paper_fixed("eax"))],
+        phases=("mutation",),
+    )
+    (config,) = result.per_config
+    assert (
+        config.boundaries, config.trials, config.recovered_pre,
+        config.recovered_post, config.resilient_fallbacks,
+        config.wal_truncations, config.flaky_failures_retried,
+        config.violations,
+    ) == (33, 30, 16, 14, 0, 6, 14, [])
+    assert result.format_matrix() == (
+        "crash-recovery campaign (2-row workload, modes cut/torn/drop, "
+        "limit 12 crash points per configuration)\n"
+        "configuration     boundaries  trials  pre  post  fallbacks  "
+        "truncations  retried  violations\n"
+        "----------------  ----------  ------  ---  ----  ---------  "
+        "-----------  -------  ----------\n"
+        "fixed AEAD (EAX)  33          30      16   14    0          "
+        "6            14       0"
+    )

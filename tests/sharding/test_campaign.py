@@ -51,3 +51,28 @@ def test_parameter_validation():
         run_rotation_campaign(rows=2, modes=("meteor",))
     with pytest.raises(ValueError):
         run_rotation_campaign(rows=2, shard_count=0)
+
+
+def test_bounded_eax_rotation_sweep_is_pinned():
+    # Exact counters and matrix of a bounded EAX sweep: a change to crash
+    # point selection, the torn-write skip or the pre/post oracle shows here.
+    result = run_rotation_campaign(
+        rows=2, limit=8,
+        configs=[("fixed AEAD (EAX)", EncryptionConfig.paper_fixed("eax"))],
+    )
+    (config,) = result.per_config
+    assert (
+        config.rotation_boundaries, config.trials, config.recovered_pre,
+        config.recovered_post, config.rollbacks, config.rollforwards,
+        config.violations,
+    ) == (50, 20, 1, 19, 8, 5, [])
+    assert result.format_matrix() == (
+        "key-rotation crash campaign (2-row workload, 2 shards, modes "
+        "cut/torn/drop, limit 8 crash points per configuration)\n"
+        "configuration     boundaries  trials  pre  post  rollbacks  "
+        "rollforwards  violations\n"
+        "----------------  ----------  ------  ---  ----  ---------  "
+        "------------  ----------\n"
+        "fixed AEAD (EAX)  50          20      1    19    8          "
+        "5             0"
+    )

@@ -1,6 +1,7 @@
 """The ``python -m repro`` command-line driver."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -623,3 +624,92 @@ def test_forensics_healthy_control_and_injected_negative(capsys):
     assert main(["forensics", "--healthy", "--scenario", "shard_rotation",
                  "--limit", "6", "--inject", "cipher-miscount"]) == 1
     assert "INCIDENT:" in capsys.readouterr().err
+
+
+#: Out-of-range counts and thresholds: each is a usage error (exit 2)
+#: raised by the flag table before any workload runs.
+_OUT_OF_RANGE = [
+    (["faultcampaign", "--seeds", "0"], "--seeds must be at least 1"),
+    (["collisions", "-5"], "collisions trial count must be at least 1"),
+    (["monitor", "--scenario", "shard_rotation", "--quick", "--limit", "-3"],
+     "--limit must be at least 1"),
+    (["forensics", "--healthy", "--scenario", "shard_rotation",
+      "--limit=-3"], "--limit must be at least 1"),
+    (["bench", "--quick", "--scenarios", "bulk_insert", "--threshold", "nan"],
+     "--threshold must be a finite number"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", _OUT_OF_RANGE, ids=[" ".join(a) for a, _ in _OUT_OF_RANGE]
+)
+def test_out_of_range_values_are_usage_errors(
+    argv, message, capsys, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)  # a bench run that slips through writes here
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Commands" in captured.out
+
+
+def test_forensics_scorecard_switch_is_gone(capsys):
+    assert main(["forensics", "--healthy", "--scorecard"]) == 2
+    assert "unknown forensics argument '--scorecard'" in capsys.readouterr().err
+
+
+def _sample_value(flag, tmp_path):
+    from repro import __main__ as cli
+
+    rules = tmp_path / "rules.json"
+    rules.write_text("[]")
+    return {
+        cli._parse_int: "7",
+        cli._parse_float: "1.5",
+        cli._text: "some/path",
+        cli._comma_list: "plain,aead-eax",
+        cli._parse_key: "00112233445566778899aabbccddeeff",
+        cli._seed_key: "a-seed",
+        cli._injection: "cipher-miscount",
+        cli._bench_report: str(Path(__file__).parents[1] / "BENCH_1.json"),
+        cli._health_rules: str(rules),
+    }[flag.kind]
+
+
+def _value_flags():
+    from repro.__main__ import COMMANDS
+
+    return [
+        (name, flag)
+        for name, command in COMMANDS.items()
+        for flag in command.flags
+        if flag.kind is not None
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,flag", _value_flags(), ids=[f"{n} {f.name}" for n, f in _value_flags()]
+)
+def test_every_value_flag_parses_both_spellings(name, flag, tmp_path):
+    from repro.__main__ import COMMANDS, UsageError, _parse
+
+    command = COMMANDS[name]
+    value = _sample_value(flag, tmp_path)
+    spaced = _parse(name, command, [flag.name, value])
+    joined = _parse(name, command, [f"{flag.name}={value}"])
+    assert spaced == joined
+    assert spaced[flag.key] != _parse(name, command, [])[flag.key]
+    with pytest.raises(UsageError, match=f"^{flag.name} requires a value$"):
+        _parse(name, command, [flag.name])
+
+
+def test_every_handler_takes_exactly_its_table_keywords():
+    import inspect
+
+    from repro.__main__ import COMMANDS
+
+    for name, command in COMMANDS.items():
+        declared = {flag.key for flag in command.flags}
+        if command.arg is not None:
+            declared.add(command.arg.key)
+        assert set(inspect.signature(command.run).parameters) == declared, name
