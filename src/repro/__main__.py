@@ -128,7 +128,7 @@ Commands:
 * ``forensics --healthy [--scenario NAME] [--inject FAULT]
   [--limit N] [--out PATH]`` — the false-alarm control: a monitored
   run with no injected faults must record zero incidents (no alerts,
-  no typed errors, no unmatched detections); exits 1 otherwise.
+  no unmatched detections); exits 1 otherwise.
   ``--inject`` passes monitor fault injections through, making a
   non-zero exit the *expected* outcome (CI's negative control).
 
@@ -1073,16 +1073,20 @@ def _monitor(
         validate_health_report,
         write_health,
     )
+    from repro.observability.timeseries import HUB
 
     _choice(scenario, monitor_scenarios(), "scenario")
     config_items = _resolve_configs(configs)
 
-    def dashboard(tick, hub):
+    def dashboard(channel, kind, fields):
+        if channel != "telemetry":
+            return
         # Pull-sampled series land on this tick; pushed gauges landed
         # between the previous tick and this one — show both.
+        tick = fields["hub_tick"]
         fresh = [
             (series.name, series.labels, sample[1])
-            for series in hub.all_series(include_volatile=True)
+            for series in HUB.all_series(include_volatile=True)
             for sample in [series.last()]
             if sample is not None and sample[0] + 1 >= tick
         ]
@@ -1204,8 +1208,8 @@ def _forensics(
             print(render_timeline(build_timeline(doc)))
         if _flagged("INCIDENT", incidents):
             return 1
-        print("no incidents: zero alerts, zero typed errors, "
-              "zero false positives")
+        print("no incidents: zero alerts, zero false positives, "
+              "zero open gated injections")
         return 0
 
     if chaos:

@@ -135,13 +135,11 @@ def run_bench(
 
     results: list[ScenarioResult] = []
     was_enabled = observability.enabled()
-    hub_was_enabled = observability.HUB.enabled
-    observability.enable()  # before any database is constructed
-    # Telemetry rides along so the report can prove its rings never
-    # overflowed: the PR 5 "zero dropped spans" guarantee, extended to
-    # the time-series layer.
+    # Before any database is constructed.  Telemetry rides the same
+    # switch, so the report can prove its rings never overflowed: the
+    # "zero dropped spans" guarantee, extended to the time-series layer.
+    observability.enable()
     observability.HUB.reset()
-    observability.HUB.enable()
     # Pin every histogram reservoir to the run's seed, so two identical
     # runs report identical p50/p95/p99 regardless of process history.
     observability.REGISTRY.seed_reservoirs(_MASTER_KEY.hex())
@@ -182,8 +180,6 @@ def run_bench(
         observability.HUB.reset()
         if not was_enabled:
             observability.disable()
-        if not hub_was_enabled:
-            observability.HUB.disable()
 
     meta = run_metadata(
         seed=_MASTER_KEY.hex(),

@@ -336,15 +336,12 @@ def _audit_neutrality_check(
     result: ConfigCrashResult | ConfigRotationResult,
     replay: Callable[[VirtualDisk], None],
 ) -> None:
-    """The workload must store the same bytes with ``AUDIT`` off and on."""
-    was_enabled = AUDIT.enabled
-    try:
-        AUDIT.disable()
+    """The workload must store the same bytes with ``AUDIT`` off and on;
+    the probe's audit events are neither kept nor published."""
+    with AUDIT.isolated():
         quiet = _final_state(replay)
         AUDIT.enable()
         audited = _final_state(replay)
-    finally:
-        AUDIT.enabled = was_enabled
     if quiet != audited:
         result.violations.append(
             f"{result.config}: enabling audit hooks changed the stored bytes"

@@ -51,7 +51,7 @@ from repro.engine.database import (
     IndexInfo,
 )
 from repro.engine.indextable import IndexTable
-from repro.engine.schema import Column, ColumnType, TableSchema
+from repro.engine.schema import TableSchema
 from repro.engine.storage import (
     _Reader,
     _write_bytes,
@@ -59,11 +59,11 @@ from repro.engine.storage import (
     _write_text,
     dump_database,
     load_database,
+    read_table_schema,
 )
 from repro.errors import SchemaError, StorageFormatError
 from repro.mac.base import MAC
 from repro.observability.audit import AUDIT
-from repro.observability.flightrecorder import RECORDER
 from repro.observability.timeseries import HUB
 from repro.observability.trace import TRACER as _TRACER
 from repro.robustness.recovery import RecoveryReport, load_database_resilient
@@ -159,25 +159,6 @@ def _encode_create_table(schema: TableSchema, table_id: int) -> bytes:
         _write_text(out, column.type.value)
         _write_int(out, 1 if column.sensitive else 0)
     return out.getvalue()
-
-
-def _decode_create_table(reader: _Reader) -> tuple[TableSchema, int]:
-    name = reader.read_text()
-    table_id = reader.read_int()
-    column_count = reader.read_count("column")
-    columns = []
-    for _ in range(column_count):
-        column_name = reader.read_text()
-        type_name = reader.read_text()
-        try:
-            column_type = ColumnType(type_name)
-        except ValueError:
-            raise StorageFormatError(
-                f"unknown column type {type_name!r}", offset=reader.offset
-            ) from None
-        sensitive = reader.read_int() == 1
-        columns.append(Column(column_name, column_type, sensitive))
-    return TableSchema(name, columns), table_id
 
 
 def _encode_create_index(
@@ -289,7 +270,7 @@ def _replay_record(db: Database, record: JournalRecord) -> None:
     """Apply one committed record physically (no index maintenance)."""
     reader = _Reader(record.payload)
     if record.op == OP_CREATE_TABLE:
-        schema, table_id = _decode_create_table(reader)
+        schema, table_id = read_table_schema(reader)
         _finish(reader)
         _apply_create_table(db, schema, table_id)
     elif record.op == OP_CREATE_INDEX:
@@ -481,12 +462,7 @@ class DurableDatabase:
         report.truncated_at = scan.truncated_at
         report.truncated_reason = scan.truncated_reason
         if scan.truncated_at is not None and scan.header_ok:
-            AUDIT.emit(
-                "wal.truncated",
-                offset=scan.truncated_at,
-                reason=scan.truncated_reason,
-            )
-            RECORDER.note(
+            AUDIT.note(
                 "wal.truncated",
                 offset=scan.truncated_at,
                 reason=scan.truncated_reason,
@@ -540,15 +516,7 @@ class DurableDatabase:
             _rebuild_indexes(db)
             report.indexes_rebuilt = True
 
-        AUDIT.emit(
-            "wal.replay",
-            checkpoint=report.checkpoint,
-            journal=report.journal,
-            replayed=report.records_replayed,
-            skipped=report.records_skipped,
-            rebuilt=report.indexes_rebuilt,
-        )
-        RECORDER.note(
+        AUDIT.note(
             "wal.replay",
             checkpoint=report.checkpoint,
             journal=report.journal,

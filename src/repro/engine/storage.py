@@ -21,7 +21,7 @@ from repro.engine.btree import BEntry, BNode, BPlusTree
 from repro.engine.database import Database, IndexCodecFactory, CellCodec
 from repro.engine.indextable import IndexRow, IndexTable
 from repro.engine.schema import Column, ColumnType, TableSchema
-from repro.errors import StorageFormatError
+from repro.errors import EngineError, StorageFormatError
 from repro.observability import timed
 from repro.observability.audit import AUDIT as _AUDIT
 from repro.observability.metrics import REGISTRY as _METRICS
@@ -275,7 +275,10 @@ def _load_database(
     return db
 
 
-def _load_table(reader: _Reader, db: Database):
+def read_table_schema(reader: _Reader) -> tuple[TableSchema, int]:
+    """Decode one table header (image or journal); an unknown column type
+    or an unusable schema raises :class:`StorageFormatError`."""
+    at = reader.offset
     name = reader.read_text()
     table_id = reader.read_int()
     column_count = reader.read_count("column")
@@ -291,19 +294,27 @@ def _load_table(reader: _Reader, db: Database):
             ) from None
         sensitive = reader.read_int() == 1
         columns.append(Column(column_name, column_type, sensitive))
-    table = db.create_table(TableSchema(name, columns))
+    try:
+        return TableSchema(name, columns), table_id
+    except EngineError as exc:
+        raise StorageFormatError(f"unusable table schema: {exc}", offset=at) from None
+
+
+def _load_table(reader: _Reader, db: Database):
+    schema, table_id = read_table_schema(reader)
+    table = db.create_table(schema)
     table.table_id = table_id
     next_row = reader.read_int()
     row_count = reader.read_count("row")
     for _ in range(row_count):
         at = reader.offset
         row_id = reader.read_int()
-        cells = [reader.read_bytes() for _ in range(column_count)]
+        cells = [reader.read_bytes() for _ in schema.columns]
         if row_id in table._rows:
             # A replayed (duplicated) record: ids are allocated once and
             # never reused, so a second occurrence is always corruption.
             raise StorageFormatError(
-                f"duplicate row {row_id} in table {name!r}", offset=at
+                f"duplicate row {row_id} in table {schema.name!r}", offset=at
             )
         table._rows[row_id] = cells
     table._next_row = next_row

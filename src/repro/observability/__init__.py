@@ -68,7 +68,6 @@ from repro.observability.metrics import (
     Counter,
     Histogram,
     MetricsRegistry,
-    Timer,
 )
 from repro.observability.leakmon import PROBES, LeakMonitor, run_live_profile
 from repro.observability.monitor import (
@@ -149,7 +148,6 @@ __all__ = [
     "Span",
     "TelemetryHub",
     "ThresholdRule",
-    "Timer",
     "TraceContext",
     "Tracer",
     "build_query_profiles",

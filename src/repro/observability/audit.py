@@ -32,10 +32,11 @@ import hashlib
 import json
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable, Iterator
 
-from repro.observability.flightrecorder import RECORDER
+from repro.observability.flightrecorder import publish
 
 #: Cipher block size every scheme in the repo uses for leakage analysis.
 BLOCK_SIZE = 16
@@ -85,8 +86,8 @@ class AuditLog:
 
     Events are dicts with a ``kind`` plus kind-specific fields; every
     event gets a monotonic ``seq`` and (optionally) a wall-clock ``ts``.
-    Consumers subscribe for online processing; an optional JSONL sink
-    persists the stream.
+    Logged events are published on the event path for online
+    consumers; an optional JSONL sink persists the stream.
     """
 
     def __init__(self) -> None:
@@ -96,7 +97,7 @@ class AuditLog:
         self._seq = 0
         self._buffer: list[dict] = []
         self._sink = None
-        self._consumers: list[Callable[[dict], None]] = []
+        self._published = True
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -125,23 +126,22 @@ class AuditLog:
         with self._lock:
             self._seq = 0
             self._buffer = []
-            self._consumers = []
 
-    # -- consumers ----------------------------------------------------------
-
-    def subscribe(self, consumer: Callable[[dict], None]) -> None:
-        self._consumers.append(consumer)
-
-    def unsubscribe(self, consumer: Callable[[dict], None]) -> None:
-        if consumer in self._consumers:
-            self._consumers.remove(consumer)
+    @contextmanager
+    def isolated(self) -> Iterator[None]:
+        """A side run that leaves no trace: inside, the log starts off,
+        keeps its own events and publishes none (notes reach the event
+        path as with the log off); afterwards every attribute is restored."""
+        saved = vars(self).copy()
+        self.enabled, self._buffer, self._sink, self._published = False, [], None, False
+        try:
+            yield
+        finally:
+            vars(self).update(saved)
 
     # -- emission -----------------------------------------------------------
 
-    def emit(self, kind: str, **fields: Any) -> None:
-        """Record one event; a no-op while the log is disabled."""
-        if not self.enabled:
-            return
+    def _log(self, kind: str, fields: dict) -> dict:
         with self._lock:
             self._seq += 1
             event: dict = {"kind": kind, "seq": self._seq}
@@ -151,9 +151,22 @@ class AuditLog:
             self._buffer.append(event)
             if self._sink is not None:
                 self._sink.write(encode_line(event) + "\n")
-        for consumer in self._consumers:
-            consumer(event)
-        RECORDER.record_audit(event)
+        return event
+
+    def emit(self, kind: str, **fields: Any) -> None:
+        """Record and publish one event; a no-op while the log is disabled."""
+        if not self.enabled:
+            return
+        event = self._log(kind, fields)
+        if self._published:
+            publish("audit", kind, event)
+
+    def note(self, kind: str, **fields: Any) -> None:
+        """One fact for two sinks, emitted once: the flight recorder keeps
+        it as a note and, while the log is on, the log keeps it as an
+        event (the published note then carries that event's ``seq``)."""
+        event = self._log(kind, fields) if self.enabled else fields
+        publish("note", kind, event if self._published else fields)
 
     def events(self) -> list[dict]:
         return list(self._buffer)

@@ -7,14 +7,14 @@ mount raises :class:`~repro.errors.StaleImageError` or a scrub reports
 an unrepairable blob, the question "what happened in the minutes before"
 can only be answered if someone was already listening.  The
 :class:`FlightRecorder` is that listener — a bounded ring of structured
-records that is **always on**, costs one lock + deque append per event,
+records that is **always on**, costs a locked ring append per event,
 holds no unbounded state, and can serialise itself to a schema-validated
 ``FLIGHT.json`` (``repro-flight/1``) at any moment.
 
-Records arrive on six channels:
+Records arrive on five channels (:data:`RECORDER` subscribes to the
+event path for audit events, ticks, alerts and the audit log's notes):
 
-* ``audit`` — every security audit event (forwarded by
-  :meth:`~repro.observability.audit.AuditLog.emit` whenever the audit
+* ``audit`` — every security audit event (published whenever the audit
   log is enabled), with the wall-clock ``ts`` stripped so dumps stay
   deterministic;
 * ``telemetry`` — one record per telemetry-hub tick, keeping the
@@ -26,10 +26,10 @@ Records arrive on six channels:
   emitted by the production detectors (scrubber MAC verdicts, trust
   anchors), and **resolved** records when an injected fault was healed
   or overwritten before any detector could see it;
-* ``error`` — typed :class:`~repro.errors.ReproError` captures;
 * ``note`` — contextual breadcrumbs (WAL replay outcomes, read-repairs,
   freshness heals) that anchor forensic attribution without being
-  graded signals themselves.
+  graded signals themselves; a fact the audit log also logs is
+  recorded once, here.
 
 Time is the recorder's own **logical tick** — advanced explicitly by
 campaign schedulers and implicitly by telemetry-hub ticks — so detection
@@ -41,7 +41,9 @@ channel, so a dump always states precisely what it no longer knows.
 This module imports nothing from the rest of the package (stdlib only):
 it sits below ``audit``/``timeseries``/``health`` in the import graph so
 the lowest layers (trust anchors, replica sets, the scrubber) can report
-to it without cycles.
+to it without cycles.  So it also holds what every sink shares: the
+bounded :class:`Ring`, and the one subscriber list (:func:`publish`,
+:func:`subscribe`) through which sinks hear each other's events.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ FLIGHT_SCHEMA = "repro-flight/1"
 DEFAULT_CAPACITY = 4096
 
 #: Every channel a record may arrive on.
-CHANNELS = ("audit", "telemetry", "alert", "fault", "error", "note")
+CHANNELS = ("audit", "telemetry", "alert", "fault", "note")
 
 #: The fault-record kinds carried on the ``fault`` channel.
 FAULT_KINDS = ("injection", "detection", "resolved")
@@ -76,6 +78,62 @@ CLASS_STORAGE_FAULT = "storage-fault"  # robustness-campaign image fault
 #: are reported but not gated — the broken [3]/[12] schemes corrupt
 #: silently by design, which is the paper's point, not a bug.
 GATED_CLASSES = (CLASS_TAMPER, CLASS_ROLLBACK, CLASS_UNREPAIRABLE)
+
+
+#: The one subscriber list every sink shares (see the module docstring).
+_subscribers: list = []
+
+
+def subscribe(fn) -> None:
+    """Register ``fn(channel, kind, fields)`` for every published event."""
+    _subscribers.append(fn)
+
+
+def unsubscribe(fn) -> None:
+    if fn in _subscribers:
+        _subscribers.remove(fn)
+
+
+def publish(channel: str, kind: str, fields: dict) -> None:
+    for fn in list(_subscribers):
+        fn(channel, kind, fields)
+
+
+class Ring:
+    """A bounded, thread-safe ring: the oldest item is evicted first, and
+    each eviction is counted in ``drops`` under ``key(evicted item)``."""
+
+    def __init__(self, capacity: int, key=lambda item: None) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
+        self.drops: dict = {}
+        self._key = key
+        self._items: deque = deque()
+        self._lock = threading.Lock()
+
+    def append(self, item) -> bool:
+        """Store ``item``; True when that evicted the oldest one."""
+        with self._lock:
+            full = len(self._items) == self.capacity
+            if full:
+                bucket = self._key(self._items.popleft())
+                self.drops[bucket] = self.drops.get(bucket, 0) + 1
+            self._items.append(item)
+            return full
+
+    def items(self) -> list:
+        with self._lock:
+            return list(self._items)
+
+    def last(self):
+        with self._lock:
+            return self._items[-1] if self._items else None
+
+    def clear(self) -> None:
+        with self._lock:
+            self._items.clear()
+            self.drops.clear()
 
 
 def _jsonable(value):
@@ -97,17 +155,12 @@ class FlightRecorder:
     """A bounded, logical-clock ring of structured incident records."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._lock = threading.RLock()
-        self._records: deque[dict] = deque()
-        self.dropped: dict[str, int] = {}
+        self._records = Ring(capacity, key=lambda entry: entry["channel"])
+        self.dropped: dict[str, int] = self._records.drops  # per channel
+        self._lock = threading.Lock()
         self._seq = 0
         self._tick = 0
         self._injections = 0
-        self._armed_path: Path | None = None
-        self.dumps_written = 0
 
     # -- the logical clock ---------------------------------------------------
 
@@ -136,10 +189,6 @@ class FlightRecorder:
                 "kind": kind,
                 "fields": {str(k): _jsonable(v) for k, v in fields.items()},
             }
-            if len(self._records) == self.capacity:
-                evicted = self._records.popleft()
-                bucket = evicted["channel"]
-                self.dropped[bucket] = self.dropped.get(bucket, 0) + 1
             self._records.append(entry)
             return entry
 
@@ -147,37 +196,21 @@ class FlightRecorder:
         """A contextual breadcrumb: timeline evidence, not a graded signal."""
         self.record("note", kind, **fields)
 
-    def record_audit(self, event: dict) -> None:
-        """Mirror one audit event (called by ``AuditLog.emit``); the
-        wall-clock ``ts`` is stripped so dumps stay deterministic."""
-        fields = {k: v for k, v in event.items() if k not in ("kind", "ts", "seq")}
-        fields["audit_seq"] = event.get("seq")
-        self.record("audit", event["kind"], **fields)
-
-    def record_hub_tick(self, hub_tick: int, series_count: int) -> None:
-        """Mirror one telemetry tick and advance the recorder clock with it."""
-        with self._lock:
-            self._tick += 1
-        self.record(
-            "telemetry", "hub.tick", hub_tick=hub_tick, series=series_count
-        )
-
-    def record_alert(self, alert: dict) -> None:
-        """Record one fired health alert; dumps immediately when armed."""
-        fields = dict(alert)
-        rule = str(fields.pop("rule", "unknown"))
-        self.record("alert", rule, **fields)
-        self._maybe_dump(f"alert:{rule}")
-
-    def record_error(self, exc: BaseException) -> None:
-        """Record one typed error; dumps immediately when armed."""
-        kind = type(exc).__name__
-        fields = {"message": str(exc)}
-        for key, value in vars(exc).items():
-            if isinstance(value, (str, int, float, bool)) or value is None:
-                fields[key] = value
-        self.record("error", kind, **fields)
-        self._maybe_dump(f"error:{kind}")
+    def on_event(self, channel: str, kind: str, fields: dict) -> None:
+        """The event-path subscriber: audit events lose the wall-clock
+        ``ts`` and keep ``seq`` as ``audit_seq``; notes keep only the
+        fact's fields; a telemetry tick advances the clock."""
+        if channel in ("audit", "note"):
+            kept = {
+                k: v for k, v in fields.items() if k not in ("kind", "ts", "seq")
+            }
+            if channel == "audit":
+                kept["audit_seq"] = fields.get("seq")
+            fields = kept
+        elif channel == "telemetry":
+            with self._lock:
+                self._tick += 1
+        self.record(channel, kind, **fields)
 
     # -- ground truth --------------------------------------------------------
 
@@ -203,38 +236,21 @@ class FlightRecorder:
         already closed them, in which case the resolution is ignored)."""
         self.record("fault", "resolved", id=injection_id, reason=reason, **context)
 
-    # -- dump triggers -------------------------------------------------------
-
-    def arm(self, path: str | Path) -> None:
-        """Dump to ``path`` the moment any alert or typed error lands."""
-        self._armed_path = Path(path)
-
-    def disarm(self) -> None:
-        self._armed_path = None
-
-    def _maybe_dump(self, reason: str) -> None:
-        if self._armed_path is not None:
-            self.dump(self._armed_path, reason=reason)
-
     # -- introspection -------------------------------------------------------
 
     def records(self, channel: str | None = None) -> list[dict]:
-        with self._lock:
-            entries = list(self._records)
+        entries = self._records.items()
         if channel is None:
             return entries
         return [entry for entry in entries if entry["channel"] == channel]
 
     def reset(self) -> None:
-        """Forget everything: records, drops, clocks, the armed path."""
+        """Forget everything: records, drops, clocks."""
         with self._lock:
             self._records.clear()
-            self.dropped = {}
             self._seq = 0
             self._tick = 0
             self._injections = 0
-            self._armed_path = None
-            self.dumps_written = 0
 
     # -- the dump ------------------------------------------------------------
 
@@ -247,14 +263,13 @@ class FlightRecorder:
         for span in finished:
             by_name[span.name] = by_name.get(span.name, 0) + 1
         with self._lock:
-            records = list(self._records)
             doc = {
                 "schema": FLIGHT_SCHEMA,
                 "reason": reason,
                 "ticks": self._tick,
-                "capacity": self.capacity,
+                "capacity": self._records.capacity,
                 "dropped": dict(sorted(self.dropped.items())),
-                "records": records,
+                "records": self._records.items(),
                 "spans": {
                     "finished": len(finished),
                     "dropped": TRACER.dropped,
@@ -263,19 +278,6 @@ class FlightRecorder:
             }
         if meta is not None:
             doc["meta"] = meta
-        return doc
-
-    def dump(
-        self,
-        path: str | Path,
-        reason: str = "explicit",
-        meta: dict | None = None,
-    ) -> dict:
-        """Snapshot and write ``FLIGHT.json``; returns the document."""
-        doc = self.snapshot(reason=reason, meta=meta)
-        write_flight(doc, path)
-        with self._lock:
-            self.dumps_written += 1
         return doc
 
 
@@ -388,3 +390,4 @@ def load_flight(path: str | Path) -> dict:
 
 #: The process-wide black box every layer reports to.
 RECORDER = FlightRecorder()
+subscribe(RECORDER.on_event)

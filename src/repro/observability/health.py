@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.observability.flightrecorder import RECORDER
+from repro.observability.flightrecorder import publish
 from repro.observability.timeseries import Series, TelemetryHub
 
 SEVERITY_INFO = "info"
@@ -555,7 +555,8 @@ class HealthEngine:
             fired = rule.evaluate(hub)
             self.fired[rule.name] += len(fired)
             for alert in fired:
-                RECORDER.record_alert(alert.to_dict())
+                fields = alert.to_dict()
+                publish("alert", fields.pop("rule"), fields)
             alerts.extend(fired)
         return alerts
 

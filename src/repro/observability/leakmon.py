@@ -1,8 +1,8 @@
 """Streaming leakage monitor: audit events in, probe verdicts out.
 
 Consumes the event stream of :mod:`repro.observability.audit` — online
-via ``AUDIT.subscribe`` or offline via :meth:`LeakMonitor.feed_all` on a
-replayed JSONL log — and maintains the same six probe verdicts as the
+via :meth:`LeakMonitor.observe` or offline via :meth:`~LeakMonitor.feed_all`
+on a replayed JSONL log — and maintains the same six probe verdicts as the
 offline :mod:`repro.analysis.leakage` matrix:
 
 * ``equality``       — two cells of one column share 4+ leading
@@ -30,6 +30,7 @@ verdicts, exactly like the offline profiler.
 from __future__ import annotations
 
 from repro.observability.audit import AUDIT
+from repro.observability.flightrecorder import subscribe, unsubscribe
 from repro.observability.metrics import MetricsRegistry
 
 #: Offline probe names, in report order (mirrors analysis.leakage.PROBES
@@ -67,8 +68,8 @@ CONFIG_SLUGS = {
 class LeakMonitor:
     """Online leakage estimation over an audit-event stream.
 
-    Feed it events (``feed`` / ``feed_all`` / ``AUDIT.subscribe``); read
-    ``verdicts()`` at any point.  Counts are published to ``registry``
+    Feed it events (``feed`` / ``feed_all`` / ``subscribe(monitor.observe)``);
+    read ``verdicts()`` at any point.  Counts are published to ``registry``
     as ``leak.*`` metrics so snapshots can be exported and diffed.
     """
 
@@ -127,6 +128,11 @@ class LeakMonitor:
     def feed_all(self, events) -> None:
         for event in events:
             self.feed(event)
+
+    def observe(self, channel: str, kind: str, fields: dict) -> None:
+        """Subscriber: feeds every event the audit log logged (has ``seq``)."""
+        if "seq" in fields:
+            self.feed(fields)
 
     # -- per-kind handlers --------------------------------------------------
 
@@ -252,11 +258,12 @@ def run_live_profile(
     monitor = LeakMonitor()
     AUDIT.reset()
     AUDIT.enable(sink_path=sink_path)
-    AUDIT.subscribe(monitor.feed)
+    subscribe(monitor.observe)
     try:
         profile_configuration(config, label, rows=rows, seed=seed)
         events = AUDIT.events()
     finally:
+        unsubscribe(monitor.observe)
         AUDIT.reset()
     offline = profile_configuration(config, label, rows=rows, seed=seed)
     return monitor, events, dict(offline.results)

@@ -1,4 +1,4 @@
-"""Zero-dependency metrics: counters, histograms, and timers.
+"""Zero-dependency metrics: counters and histograms.
 
 The ROADMAP's north star — an engine that runs "as fast as the hardware
 allows" — cannot be steered without measurement, and the paper's own
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
 
 #: Initial LCG state of every histogram reservoir.  Runs that want
 #: quantiles tied to their workload identity reseed via
@@ -186,27 +185,6 @@ class Histogram:
         }
 
 
-class Timer:
-    """Context manager feeding elapsed seconds into a histogram."""
-
-    __slots__ = ("_histogram", "_registry", "_start")
-
-    def __init__(self, histogram: Histogram, registry: "MetricsRegistry") -> None:
-        self._histogram = histogram
-        self._registry = registry
-        self._start: float | None = None
-
-    def __enter__(self) -> "Timer":
-        if self._registry.enabled:
-            self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._start is not None:
-            self._histogram.observe(time.perf_counter() - self._start)
-            self._start = None
-
-
 class MetricsRegistry:
     """A named collection of counters and histograms with one switch.
 
@@ -267,10 +245,6 @@ class MetricsRegistry:
                 return self._histograms.setdefault(
                     name, Histogram(name, self, seed_state=self._reservoir_seed)
                 )
-
-    def timer(self, name: str) -> Timer:
-        """A fresh context manager timing into ``histogram(name)``."""
-        return Timer(self.histogram(name), self)
 
     # -- reporting ----------------------------------------------------------
 

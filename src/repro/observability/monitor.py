@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.observability.audit import AUDIT
+from repro.observability.flightrecorder import subscribe, unsubscribe
 from repro.observability.health import (
     HealthEngine,
     Rule,
@@ -37,7 +38,7 @@ from repro.observability.leakmon import CONFIG_SLUGS, LeakMonitor
 from repro.observability.metrics import REGISTRY
 from repro.observability.profile import build_query_profiles
 from repro.observability.runmeta import run_metadata
-from repro.observability.timeseries import HUB, TelemetryHub, scheme_label
+from repro.observability.timeseries import HUB, scheme_label
 from repro.observability.trace import TRACER
 
 HEALTH_SCHEMA = "repro-health/1"
@@ -191,11 +192,11 @@ def run_monitor(
     extra_rules: Sequence[Rule] | None = None,
     inject: Sequence[str] = (),
     limit: int | None = None,
-    follow: Callable[[int, TelemetryHub], None] | None = None,
-    hub: TelemetryHub = HUB,
+    follow: Callable[[str, str, dict], None] | None = None,
 ) -> dict:
     """Drive one scenario across configurations under the hub; return
     the JSON-ready health document (see :func:`validate_health_report`).
+    ``follow`` is subscribed to the event path for the run.
     """
     from repro import observability
 
@@ -222,16 +223,16 @@ def run_monitor(
     engine = HealthEngine(rules)
 
     was_enabled = observability.enabled()
-    hub.reset()
-    hub.enable()
-    hub.on_tick = follow
-    observability.enable()
+    HUB.reset()
+    if follow is not None:
+        subscribe(follow)
+    observability.enable()  # metrics, spans and telemetry: one switch
     config_reports = []
     try:
         for label, config in items:
             slug = config_slug(label, config)
             base = {"scenario": scenario, "scheme": slug, "config": label}
-            hub.clear_sources()
+            HUB.clear_sources()
             observability.reset()
             if not _scenario_supported(scenario, config):
                 config_reports.append(
@@ -252,7 +253,7 @@ def run_monitor(
             leakmon = LeakMonitor()
             AUDIT.reset()
             if attach_leakmon:
-                AUDIT.subscribe(leakmon.feed)
+                subscribe(leakmon.observe)
                 AUDIT.enable(timestamps=False)
             try:
                 if scenario == CAMPAIGN_SCENARIO:
@@ -275,8 +276,7 @@ def run_monitor(
                     }
                     drift = _sect4_drift(result)
             finally:
-                if attach_leakmon:
-                    AUDIT.unsubscribe(leakmon.feed)
+                unsubscribe(leakmon.observe)
                 AUDIT.reset()
 
             if scenario == CAMPAIGN_SCENARIO:
@@ -284,18 +284,18 @@ def run_monitor(
             if "cipher-miscount" in inject:
                 drift += _MISCOUNT_DRIFT
             if "wal-fallback" in inject:
-                hub.event("wal.fallback.events", 1, labels=base)
+                HUB.event("wal.fallback.events", 1, labels=base)
 
-            hub.tick()
-            hub.sample_registry(REGISTRY, labels=base)
-            hub.record("sect4.drift", drift, labels=base)
+            HUB.tick()
+            HUB.sample_registry(REGISTRY, labels=base)
+            HUB.record("sect4.drift", drift, labels=base)
             if attach_leakmon:
-                hub.record(
+                HUB.record(
                     "leak.structural",
                     _structural_leaks(leakmon),
                     labels=base,
                 )
-            hub.tick()
+            HUB.tick()
             config_reports.append(
                 {
                     "config": label,
@@ -311,13 +311,13 @@ def run_monitor(
                 }
             )
     finally:
-        hub.on_tick = None
-        hub.clear_sources()
+        unsubscribe(follow)
+        HUB.clear_sources()
         if not was_enabled:
             observability.disable()
 
-    alerts = engine.evaluate(hub)
-    snapshot = hub.snapshot()
+    alerts = engine.evaluate(HUB)
+    snapshot = HUB.snapshot()
     return {
         "schema": HEALTH_SCHEMA,
         "meta": run_metadata(scenario=scenario),

@@ -10,10 +10,11 @@ buffer of ``(tick, value)`` samples under a frozen label set (``shard``,
 
 Design constraints, matching the rest of the observability stack:
 
-1. **Off by default.**  ``HUB.enabled`` starts False and every record
-   path begins with that one attribute check; instrumented call sites
-   additionally guard with ``if HUB.enabled:`` so the disabled hot path
-   is a single boolean test and allocates nothing.
+1. **Off by default.**  ``HUB.enabled`` is the metrics registry's
+   switch, as the tracer's is, and every record path begins with that
+   one check; instrumented call sites additionally guard with
+   ``if HUB.enabled:`` so the disabled hot path is a single boolean
+   test and allocates nothing.
 2. **No wall clock.**  Time is the hub's *logical tick*, advanced only
    by an explicit :meth:`TelemetryHub.tick` call (the rotation state
    machine ticks at its protocol write boundaries; the monitor ticks
@@ -31,10 +32,10 @@ Design constraints, matching the rest of the observability stack:
 from __future__ import annotations
 
 import threading
-from collections import deque
 from typing import Callable, Iterable
 
-from repro.observability.flightrecorder import RECORDER
+from repro.observability.flightrecorder import Ring, publish
+from repro.observability.metrics import REGISTRY, MetricsRegistry
 
 SNAPSHOT_SCHEMA = "repro-timeseries/1"
 
@@ -60,10 +61,8 @@ def series_key(name: str, labels: dict | None) -> tuple:
     return (name,) + tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class Series:
+class Series(Ring):
     """One named, labeled time-series: a ring of ``(tick, value)``."""
-
-    __slots__ = ("name", "labels", "volatile", "dropped", "_samples", "_lock")
 
     def __init__(
         self,
@@ -72,27 +71,21 @@ class Series:
         capacity: int = DEFAULT_CAPACITY,
         volatile: bool = False,
     ) -> None:
+        super().__init__(capacity)
         self.name = name
         self.labels = {str(k): str(v) for k, v in (labels or {}).items()}
         self.volatile = volatile
-        self.dropped = 0
-        self._samples: deque[tuple[int, float]] = deque(maxlen=capacity)
-        self._lock = threading.Lock()
 
     def record(self, tick: int, value: float) -> None:
-        with self._lock:
-            if len(self._samples) == self._samples.maxlen:
-                self.dropped += 1
-            self._samples.append((tick, value))
+        self.append((tick, value))
+
+    @property
+    def dropped(self) -> int:
+        return sum(self.drops.values())
 
     @property
     def samples(self) -> list[tuple[int, float]]:
-        with self._lock:
-            return list(self._samples)
-
-    def last(self) -> tuple[int, float] | None:
-        with self._lock:
-            return self._samples[-1] if self._samples else None
+        return self.items()
 
     def last_value(self) -> float | None:
         sample = self.last()
@@ -121,22 +114,27 @@ class TelemetryHub:
     counts are sampled at each rotation write boundary.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        self.enabled = False
+    def __init__(
+        self, registry: MetricsRegistry | None = None, capacity: int = DEFAULT_CAPACITY
+    ) -> None:
+        self._registry = registry if registry is not None else REGISTRY
         self.capacity = capacity
         self._lock = threading.Lock()
         self._series: dict[tuple, Series] = {}
         self._tick = 0
         self._sources: dict[object, tuple[SourceFn, dict]] = {}
-        self.on_tick: Callable[[int, "TelemetryHub"], None] | None = None
 
     # -- lifecycle ----------------------------------------------------------
 
+    @property
+    def enabled(self) -> bool:
+        return self._registry.enabled
+
     def enable(self) -> None:
-        self.enabled = True
+        self._registry.enable()
 
     def disable(self) -> None:
-        self.enabled = False
+        self._registry.disable()
 
     def reset(self) -> None:
         """Drop every series and source; rewind the clock to tick 0."""
@@ -157,7 +155,7 @@ class TelemetryHub:
         return self._tick
 
     def tick(self) -> int:
-        """Advance the clock, pull every source, fire ``on_tick``."""
+        """Advance the clock, pull every source, publish the tick."""
         if not self.enabled:
             return self._tick
         with self._lock:
@@ -169,9 +167,7 @@ class TelemetryHub:
                 merged = dict(base_labels)
                 merged.update(labels or {})
                 self.record(name, value, labels=merged)
-        if self.on_tick is not None:
-            self.on_tick(now, self)
-        RECORDER.record_hub_tick(now, len(self._series))
+        publish("telemetry", "hub.tick", {"hub_tick": now, "series": len(self._series)})
         return now
 
     # -- recording ----------------------------------------------------------

@@ -21,8 +21,8 @@ is a single boolean test returning a shared no-op span, and hot call
 sites guard with ``if TRACER.enabled:`` so the disabled path allocates
 nothing.  Finished spans live in a bounded ring — benchmark runs are
 long, and tracing must never become the memory hog it is meant to
-find; evictions are counted in the ``trace.spans_dropped`` metric
-rather than dropped silently.
+find; each eviction drops the oldest span and is counted in the
+``trace.spans_dropped`` metric rather than dropped silently.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.observability.flightrecorder import Ring
 from repro.observability.metrics import REGISTRY, MetricsRegistry
 
 
@@ -157,16 +158,17 @@ class Tracer:
         self, registry: MetricsRegistry | None = None, max_spans: int = 10_000
     ) -> None:
         self._registry = registry if registry is not None else REGISTRY
-        self._max_spans = max_spans
-        self._lock = threading.Lock()
         self._local = threading.local()
-        self._finished: list[Span] = []
+        self._finished = Ring(max_spans)
         self._ids = itertools.count(1)
-        self.dropped = 0
 
     @property
     def enabled(self) -> bool:
         return self._registry.enabled
+
+    @property
+    def dropped(self) -> int:
+        return sum(self._finished.drops.values())
 
     def span(self, name: str, **attributes: object):
         """Open a span; use as ``with tracer.span("query.point") as s:``.
@@ -207,13 +209,10 @@ class Tracer:
             stack[-1].add_cost(key, amount)
 
     def finished(self) -> list[Span]:
-        with self._lock:
-            return list(self._finished)
+        return self._finished.items()
 
     def reset(self) -> None:
-        with self._lock:
-            self._finished.clear()
-            self.dropped = 0
+        self._finished.clear()
 
     def snapshot(self) -> list[dict]:
         return [span.to_dict() for span in self.finished()]
@@ -227,15 +226,8 @@ class Tracer:
         return stack
 
     def _record(self, span: Span) -> None:
-        with self._lock:
-            if len(self._finished) >= self._max_spans:
-                # Drop the oldest half in one go: O(1) amortised and the
-                # recent spans (what a bench report reads) survive.
-                evicted = self._max_spans // 2
-                del self._finished[:evicted]
-                self.dropped += evicted
-                self._registry.counter("trace.spans_dropped").inc(evicted)
-            self._finished.append(span)
+        if self._finished.append(span):
+            self._registry.counter("trace.spans_dropped").inc()
 
 
 #: The process-wide tracer, sharing the metrics registry's switch.

@@ -34,7 +34,6 @@ from collections import Counter
 
 from repro.errors import DiskError, PowerCutError
 from repro.observability.audit import AUDIT
-from repro.observability.flightrecorder import RECORDER
 from repro.observability.timeseries import HUB
 
 from repro.durability.vdisk import VirtualDisk
@@ -78,20 +77,14 @@ class MirroredDisk(VirtualDisk):
                 self.write_failures += 1
                 if HUB.enabled:
                     HUB.event("replica.write_failures", labels={"replica": index})
-                AUDIT.emit(
+                # Forensic breadcrumb, not a detection: absorbed write
+                # failures are expected under fault-injected replicas.
+                AUDIT.note(
                     "replica.write-failure",
                     op=op,
                     blob=args[0] if args else "",
                     replica=index,
                     error=f"{type(exc).__name__}: {exc}",
-                )
-                # Forensic breadcrumb, not a detection: absorbed write
-                # failures are expected under fault-injected replicas.
-                RECORDER.note(
-                    "replica.write-failure",
-                    op=op,
-                    blob=args[0] if args else "",
-                    replica=index,
                 )
         if successes < self.quorum:
             raise DiskError(
@@ -158,11 +151,10 @@ class MirroredDisk(VirtualDisk):
         self.read_repairs += 1
         if HUB.enabled:
             HUB.event("replica.read_repairs", labels={"replica": index})
-        AUDIT.emit("replica.read-repair", blob=name, replica=index)
         # A byte-level divergence heal is *not* a tamper detection —
         # crash-dropped writes diverge legitimately; only the scrubber's
         # MAC verdicts are graded ground truth.
-        RECORDER.note("replica.read-repair", blob=name, replica=index)
+        AUDIT.note("replica.read-repair", blob=name, replica=index)
 
     def exists(self, name: str) -> bool:
         present = 0

@@ -47,8 +47,7 @@ from repro.engine.database import (
 )
 from repro.engine.indextable import IndexTable
 from repro.engine.integrity import IntegrityIssue
-from repro.engine.schema import Column, ColumnType, TableSchema
-from repro.engine.storage import _MAGIC, _Reader
+from repro.engine.storage import _MAGIC, _Reader, read_table_schema
 from repro.engine.table import Table
 from repro.errors import CryptoError, EngineError, StorageFormatError
 from repro.observability.audit import AUDIT as _AUDIT
@@ -259,25 +258,8 @@ def _parse_image(
 
 
 def _parse_table(reader: _Reader, db: Database, report: RecoveryReport) -> None:
-    name = reader.read_text()
-    table_id = reader.read_int()
-    column_count = reader.read_count("column")
-    columns = []
-    for _ in range(column_count):
-        column_name = reader.read_text()
-        type_name = reader.read_text()
-        try:
-            column_type = ColumnType(type_name)
-        except ValueError:
-            raise StorageFormatError(
-                f"unknown column type {type_name!r}", offset=reader.offset
-            ) from None
-        sensitive = reader.read_int() == 1
-        columns.append(Column(column_name, column_type, sensitive))
-    try:
-        schema = TableSchema(name, columns)
-    except EngineError as exc:
-        raise StorageFormatError(f"unusable table schema: {exc}") from None
+    schema, table_id = read_table_schema(reader)
+    name = schema.name
     table = Table(table_id, schema)
     next_row = reader.read_int()
     row_count = reader.read_count("row")
@@ -295,7 +277,7 @@ def _parse_table(reader: _Reader, db: Database, report: RecoveryReport) -> None:
     try:
         for _ in range(row_count):
             row_id = reader.read_int()
-            cells = [reader.read_bytes() for _ in range(column_count)]
+            cells = [reader.read_bytes() for _ in schema.columns]
             if row_id in table._rows:
                 report.issues.append(IntegrityIssue(
                     "record-structural", f"{name}(r={row_id})",

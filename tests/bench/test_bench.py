@@ -212,9 +212,10 @@ def test_validate_report_checks_series_dropped_when_present(quick_report):
 
 def test_telemetry_dropped_entries_snapshots_the_hub():
     from repro.bench.harness import telemetry_dropped_entries
+    from repro.observability.metrics import MetricsRegistry
     from repro.observability.timeseries import TelemetryHub
 
-    hub = TelemetryHub(capacity=2)
+    hub = TelemetryHub(MetricsRegistry(), capacity=2)
     hub.enable()
     for value in range(5):
         hub.record("wal.bytes", value, {"shard": "s0"})

@@ -8,6 +8,8 @@ from repro.durability.crashcampaign import (
     _crash_points,
     run_crash_campaign,
 )
+from repro.observability.audit import AUDIT
+from repro.observability.flightrecorder import RECORDER
 
 
 PLAINTEXT = EncryptionConfig(cell_scheme="plain", index_scheme="plain")
@@ -104,3 +106,32 @@ def test_bounded_eax_mutation_sweep_is_pinned():
         "fixed AEAD (EAX)  33          30      16   14    0          "
         "6            14       0"
     )
+
+
+def test_audit_neutrality_probe_leaves_no_audit_trace():
+    # The probe turns the audit log on for one replay.  Afterwards the
+    # log's switch, events and sequence number, and the flight
+    # recorder's audit channel, are what they were before it ran.
+    AUDIT.reset()
+    RECORDER.reset()
+    try:
+        AUDIT.enable(timestamps=False)
+        AUDIT.emit("before.probe")
+        AUDIT.disable()
+        before = AUDIT.events()
+        recorded = RECORDER.records("audit")
+        result = run_crash_campaign(
+            rows=2, limit=4,
+            configs=[("fixed AEAD (EAX)", EncryptionConfig.paper_fixed("eax"))],
+            phases=("mutation",),
+        )
+        assert result.ok
+        assert AUDIT.enabled is False
+        assert AUDIT.events() == before
+        assert RECORDER.records("audit") == recorded
+        AUDIT.enable(timestamps=False)
+        AUDIT.emit("after.probe")
+        assert AUDIT.events()[-1]["seq"] == 2
+    finally:
+        AUDIT.reset()
+        RECORDER.reset()

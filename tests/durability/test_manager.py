@@ -26,6 +26,7 @@ from repro.engine.schema import Column, ColumnType, TableSchema
 from repro.engine.storage import dump_database
 from repro.errors import NoSuchRowError, NoSuchTableError, SchemaError
 from repro.observability.audit import AUDIT
+from repro.observability.flightrecorder import subscribe, unsubscribe
 
 MASTER = b"manager-test-master-key-01234567"
 MAC = journal_mac(KeyRing(MASTER))
@@ -313,15 +314,19 @@ def test_wal_audit_events_fire_only_when_enabled():
         open_plain(MemoryDisk(disk.durable_state()))
         return disk.durable_state()
 
+    def collect(channel, kind, fields):
+        if "seq" in fields:  # logged by the audit log
+            events.append(fields)
+
     was_enabled = AUDIT.enabled
     try:
         AUDIT.disable()
         silent = run()
         AUDIT.enable(timestamps=False)
-        AUDIT.subscribe(events.append)
+        subscribe(collect)
         loud = run()
     finally:
-        AUDIT.unsubscribe(events.append)
+        unsubscribe(collect)
         AUDIT.disable()
         if was_enabled:
             AUDIT.enable()

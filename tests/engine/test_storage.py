@@ -6,7 +6,7 @@ from repro.core.encrypted_db import EncryptedDatabase, EncryptionConfig
 from repro.engine.database import Database
 from repro.engine.query import PointQuery
 from repro.engine.schema import Column, ColumnType, TableSchema
-from repro.engine.storage import dump_database, load_database
+from repro.engine.storage import _MAGIC, dump_database, load_database
 from repro.errors import AuthenticationError, StorageFormatError
 
 SCHEMA = TableSchema(
@@ -199,6 +199,22 @@ def test_duplicate_row_record_rejected():
     with pytest.raises(StorageFormatError) as excinfo:
         load_database(bytes(replayed))
     assert "duplicate row" in str(excinfo.value)
+
+
+def test_unusable_schema_raises_storage_format_error():
+    # A bit flip can rename one column onto another: the image still
+    # frames correctly, but the schema it describes cannot exist.
+    db = Database()
+    columns = [Column("colA", ColumnType.INT), Column("colB", ColumnType.INT)]
+    db.create_table(TableSchema("t", columns))
+    db.insert("t", [1, 2])
+    image = dump_database(db)
+    assert image.count(b"colB") == 1
+    with pytest.raises(StorageFormatError) as excinfo:
+        load_database(image.replace(b"colB", b"colA"))
+    assert "unusable table schema" in str(excinfo.value)
+    # Located at the table record, right after the magic and table count.
+    assert excinfo.value.offset == len(_MAGIC) + 8
 
 
 def test_implausible_count_rejected():

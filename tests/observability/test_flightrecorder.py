@@ -19,6 +19,9 @@ from repro.observability.flightrecorder import (
     validate_flight_report,
     write_flight,
 )
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.timeseries import Series
+from repro.observability.trace import Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -73,6 +76,23 @@ def test_ring_respects_capacity_with_per_channel_drop_accounting():
     ),
 )
 def test_flood_never_exceeds_capacity_and_drops_balance(capacity, channels):
+    # The same rule holds for every user of the shared ring: the
+    # tracer's finished spans and a telemetry series as well.
+    registry = MetricsRegistry()
+    registry.enable()
+    tracer = Tracer(registry, max_spans=capacity)
+    series = Series("flood", capacity=capacity)
+    for i in range(len(channels)):
+        with tracer.span(f"s{i}"):
+            pass
+        series.record(i, float(i))
+    newest = list(range(max(0, len(channels) - capacity), len(channels)))
+    assert [span.name for span in tracer.finished()] == [f"s{i}" for i in newest]
+    assert [tick for tick, _ in series.samples] == newest
+    evictions = max(0, len(channels) - capacity)
+    assert tracer.dropped == series.dropped == evictions
+    assert registry.counters().get("trace.spans_dropped", 0) == evictions
+
     recorder = FlightRecorder(capacity=capacity)
     for channel in channels:
         recorder.record(channel, "flood")
@@ -113,8 +133,10 @@ def test_injection_ids_are_sequential_and_typed():
 
 def test_record_audit_strips_wall_clock_and_renames_seq():
     recorder = FlightRecorder(capacity=8)
-    recorder.record_audit(
-        {"kind": "cell.encrypt", "seq": 7, "ts": 123.456, "table": "people"}
+    recorder.on_event(
+        "audit",
+        "cell.encrypt",
+        {"kind": "cell.encrypt", "seq": 7, "ts": 123.456, "table": "people"},
     )
     (entry,) = recorder.records("audit")
     assert entry["kind"] == "cell.encrypt"
@@ -124,7 +146,7 @@ def test_record_audit_strips_wall_clock_and_renames_seq():
 
 def test_hub_tick_advances_the_logical_clock():
     recorder = FlightRecorder(capacity=8)
-    recorder.record_hub_tick(41, series_count=3)
+    recorder.on_event("telemetry", "hub.tick", {"hub_tick": 41, "series": 3})
     (entry,) = recorder.records("telemetry")
     assert recorder.current_tick == 1
     assert entry["tick"] == 1
@@ -149,27 +171,8 @@ def test_fields_are_coerced_to_json(tmp_path):
     json.dumps(fields)  # must be serialisable as-is
 
 
-def test_armed_recorder_dumps_on_alert_and_error(tmp_path):
-    recorder = FlightRecorder(capacity=8)
-    target = tmp_path / "FLIGHT.json"
-    recorder.arm(target)
-    recorder.record_alert(
-        {"rule": "sect4-drift", "severity": "critical", "message": "boom"}
-    )
-    assert target.exists()
-    doc = load_flight(target)
-    assert doc["reason"] == "alert:sect4-drift"
-    recorder.record_error(ValueError("bad image"))
-    assert load_flight(target)["reason"] == "error:ValueError"
-    assert recorder.dumps_written == 2
-    recorder.disarm()
-    recorder.record_error(ValueError("silent"))
-    assert recorder.dumps_written == 2
-
-
-def test_reset_forgets_everything(tmp_path):
+def test_reset_forgets_everything():
     recorder = FlightRecorder(capacity=2)
-    recorder.arm(tmp_path / "F.json")
     recorder.tick()
     for _ in range(5):
         recorder.note("x")
@@ -179,8 +182,6 @@ def test_reset_forgets_everything(tmp_path):
     assert recorder.dropped == {}
     assert recorder.current_tick == 0
     assert recorder.record_injection("tamper") == "inj-1"
-    recorder.record_error(ValueError("after reset"))  # disarmed by reset
-    assert not (tmp_path / "F.json").exists()
 
 
 def test_snapshot_validates_and_round_trips(tmp_path):

@@ -266,6 +266,19 @@ def test_healthy_flight_reports_zero_incidents(tmp_path):
     assert load_flight(out)["reason"] == "healthy-run"
 
 
+def test_healthy_flight_records_each_fact_once():
+    # A fact both the audit log and the recorder keep — each mount's
+    # ``wal.replay`` — lands once, as a note, not also as an audit copy.
+    _, doc, _ = run_healthy_flight(scenario="shard_rotation", limit=6)
+    kinds: dict[str, set] = {"audit": set(), "note": set()}
+    for record in doc["records"]:
+        if record["channel"] in kinds:
+            kinds[record["channel"]].add(record["kind"])
+    assert "wal.replay" in kinds["note"]
+    assert kinds["audit"]  # the audit log was on for this run
+    assert kinds["audit"].isdisjoint(kinds["note"])
+
+
 def test_injected_fault_surfaces_as_incident():
     health, doc, incidents = run_healthy_flight(
         scenario="shard_rotation", limit=6, inject=("cipher-miscount",)

@@ -15,11 +15,12 @@ from repro.observability.health import (
     load_rules,
     parse_rule,
 )
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.timeseries import TelemetryHub
 
 
 def _hub() -> TelemetryHub:
-    hub = TelemetryHub()
+    hub = TelemetryHub(MetricsRegistry())
     hub.enable()
     return hub
 

@@ -138,22 +138,6 @@ def test_histogram_thread_safety():
     assert histogram.total == 8 * observations_per_thread * 1.0
 
 
-def test_timer_observes_elapsed_seconds():
-    registry = _enabled_registry()
-    with registry.timer("t"):
-        pass
-    histogram = registry.histogram("t")
-    assert histogram.count == 1
-    assert histogram.min is not None and histogram.min >= 0.0
-
-
-def test_timer_disabled_records_nothing():
-    registry = MetricsRegistry()
-    with registry.timer("t"):
-        pass
-    assert registry.histogram("t").count == 0
-
-
 def test_reset_zeroes_everything():
     registry = _enabled_registry()
     registry.counter("c").inc(3)

@@ -142,6 +142,15 @@ def test_real_wal_fallback_fires_the_rule():
     assert "wal-fallback" in {a.rule for a in alerts}
 
 
+def test_run_monitor_restores_the_switch_it_found_off():
+    # Metrics, spans and telemetry share one switch: a monitored run
+    # turns it on and must hand it back as it found it.
+    assert not observability.enabled() and not HUB.enabled
+    run_monitor(scenario="batch_insert", quick=True)
+    assert not observability.enabled()
+    assert not HUB.enabled
+
+
 def test_real_wal_replay_records_the_series():
     mac = journal_mac(KeyRing(b"monitor-replay-master-key-012345"))
     disk = MemoryDisk()

@@ -1,5 +1,7 @@
 """Labeled time-series hub: ring buffers, the logical clock, sources."""
 
+from repro.observability.flightrecorder import subscribe, unsubscribe
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.timeseries import (
     DEFAULT_CAPACITY,
     SNAPSHOT_SCHEMA,
@@ -11,7 +13,7 @@ from repro.observability.timeseries import (
 
 
 def _enabled_hub(**kwargs) -> TelemetryHub:
-    hub = TelemetryHub(**kwargs)
+    hub = TelemetryHub(MetricsRegistry(), **kwargs)
     hub.enable()
     return hub
 
@@ -52,7 +54,7 @@ def test_series_window_is_half_open():
 
 
 def test_disabled_hub_records_nothing():
-    hub = TelemetryHub()
+    hub = TelemetryHub(MetricsRegistry())
     hub.record("m", 1.0)
     hub.event("e")
     hub.add_source(lambda: [("s", {}, 1.0)])
@@ -122,9 +124,16 @@ def test_on_tick_fires_after_sources():
     hub = _enabled_hub()
     hub.add_source(lambda: [("m", {}, 1.0)])
     seen = []
-    hub.on_tick = lambda tick, h: seen.append((tick, len(h.all_series())))
-    hub.tick()
-    assert seen == [(1, 1)]
+
+    def on_tick(channel, kind, fields):
+        seen.append((channel, kind, fields["hub_tick"], len(hub.all_series())))
+
+    subscribe(on_tick)
+    try:
+        hub.tick()
+    finally:
+        unsubscribe(on_tick)
+    assert seen == [("telemetry", "hub.tick", 1, 1)]
 
 
 def test_reset_drops_everything():

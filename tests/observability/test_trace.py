@@ -102,7 +102,7 @@ def test_current_tracks_the_active_span():
     assert tracer.current() is None
 
 
-def test_ring_drops_oldest_half_when_full_and_counts_evictions():
+def test_ring_drops_oldest_first_when_full_and_counts_evictions():
     registry = MetricsRegistry()
     registry.enable()
     tracer = Tracer(registry, max_spans=10)
@@ -110,14 +110,14 @@ def test_ring_drops_oldest_half_when_full_and_counts_evictions():
         with tracer.span(f"s{i}"):
             pass
     assert len(tracer.finished()) == 10
-    with tracer.span("overflow"):
-        pass
+    for name in ("overflow", "again"):
+        with tracer.span(name):
+            pass
     names = [span.name for span in tracer.finished()]
-    assert len(names) == 6  # kept half (5) + the new one
-    assert names[-1] == "overflow"
-    assert "s0" not in names and "s9" in names
-    assert tracer.dropped == 5
-    assert registry.snapshot()["counters"]["trace.spans_dropped"] == 5
+    # Each overflow evicts exactly the oldest span; the ring stays full.
+    assert names == [f"s{i}" for i in range(2, 10)] + ["overflow", "again"]
+    assert tracer.dropped == 2
+    assert registry.snapshot()["counters"]["trace.spans_dropped"] == 2
 
 
 def test_reset_clears_ring_and_dropped():
